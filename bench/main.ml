@@ -428,46 +428,32 @@ let sim_throughput () =
   section
     (Printf.sprintf "Simulator throughput — simulated cycles per host second (SPEC-BFS, %s)"
        scale_name);
-  let run_once engine =
+  let run_once () =
     let app = Workloads.spec_bfs scale ~seed:42 in
     let run = app.Agp_apps.App_instance.fresh () in
-    Agp_hw.Accelerator.run ~engine ~spec:app.Agp_apps.App_instance.spec
+    Agp_hw.Accelerator.run ~spec:app.Agp_apps.App_instance.spec
       ~bindings:run.Agp_apps.App_instance.bindings ~state:run.Agp_apps.App_instance.state
       ~initial:run.Agp_apps.App_instance.initial ()
   in
   (* best of 5: the ratchet gate wants the machine's capability, not its
      scheduler noise *)
-  let best_of n engine =
-    let best = ref (run_once engine) in
-    for _ = 1 to n - 1 do
-      let r = run_once engine in
-      if r.Agp_hw.Accelerator.sim_cycles_per_sec > !best.Agp_hw.Accelerator.sim_cycles_per_sec
-      then best := r
-    done;
-    !best
-  in
-  let r = best_of 5 Agp_hw.Accelerator.Compiled in
-  let legacy = best_of 2 Agp_hw.Accelerator.Legacy in
-  Printf.printf "%d cycles in %.4f s -> %.3g simulated cycles/sec (best of 5, compiled)\n"
+  let r = ref (run_once ()) in
+  for _ = 1 to 4 do
+    let r' = run_once () in
+    if r'.Agp_hw.Accelerator.sim_cycles_per_sec > !r.Agp_hw.Accelerator.sim_cycles_per_sec
+    then r := r'
+  done;
+  let r = !r in
+  Printf.printf "%d cycles in %.4f s -> %.3g simulated cycles/sec (best of 5)\n"
     r.Agp_hw.Accelerator.cycles r.Agp_hw.Accelerator.wall_seconds
     r.Agp_hw.Accelerator.sim_cycles_per_sec;
-  Printf.printf "legacy engine: %.3g cycles/sec -> compiled speedup %.1fx\n"
-    legacy.Agp_hw.Accelerator.sim_cycles_per_sec
-    (r.Agp_hw.Accelerator.sim_cycles_per_sec
-    /. Float.max 1e-9 legacy.Agp_hw.Accelerator.sim_cycles_per_sec);
-  Printf.printf "minor heap: %.1f words/cycle (compiled), %.1f words/cycle (legacy)\n"
-    r.Agp_hw.Accelerator.minor_words_per_cycle
-    legacy.Agp_hw.Accelerator.minor_words_per_cycle;
+  Printf.printf "minor heap: %.1f words/cycle\n" r.Agp_hw.Accelerator.minor_words_per_cycle;
   add_section "sim_throughput"
     (Json.Obj
        [
          ("cycles", Json.Int r.Agp_hw.Accelerator.cycles);
          ("sim_cycles_per_sec", Json.Float r.Agp_hw.Accelerator.sim_cycles_per_sec);
          ("minor_words_per_cycle", Json.Float r.Agp_hw.Accelerator.minor_words_per_cycle);
-         ( "legacy_sim_cycles_per_sec",
-           Json.Float legacy.Agp_hw.Accelerator.sim_cycles_per_sec );
-         ( "legacy_minor_words_per_cycle",
-           Json.Float legacy.Agp_hw.Accelerator.minor_words_per_cycle );
        ])
 
 (* --- serving saturation (the Agp_serve daemon under offered load) --- *)

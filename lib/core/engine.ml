@@ -119,10 +119,6 @@ let create sp bindings st =
     prim_counts = Hashtbl.create 8;
   }
 
-let spec t = t.sp
-
-let state t = t.st
-
 let stats t = t.stats_r
 
 let set_of_slot t slot = List.nth t.sp.Spec.task_sets slot
@@ -257,14 +253,6 @@ let push_initial t set_name payload =
 
 (* --- queues --- *)
 
-let pop_task t set_name =
-  match Fifo.pop (queue_of t set_name) with
-  | Some task ->
-      task.status <- Running;
-      t.running <- t.running + 1;
-      Some task
-  | None -> None
-
 let pop_any t =
   let n = Array.length t.queues in
   let rec loop tries =
@@ -331,8 +319,6 @@ let uncommitted_remaining t =
   t.running > 0 || t.waiting <> [] || pending_count t > 0
 
 (* --- minimum tracking --- *)
-
-let live_rule_count t = List.length t.live_rules
 
 let prim_counts t = Hashtbl.fold (fun name n acc -> (name, n) :: acc) t.prim_counts []
 

@@ -2,10 +2,13 @@
     their well-order indices, task queues, rule instances (lanes),
     event broadcast, and minimum-task tracking.
 
-    The {!Sequential} oracle and the aggressive {!Runtime} drive this
-    engine with different scheduling policies; the hardware model wraps
-    the same transitions in cycle timing.  All semantics of §4 live
-    here so the three interpreters cannot drift apart. *)
+    Every software substrate drives this engine through
+    {!Semantics}, each with its own scheduling policy (the
+    {!Sequential} oracle, the aggressive {!Runtime}, the multicore
+    runtime), so they cannot drift apart.  The hardware model does not
+    step this engine: [Agp_hw.Engine_compiled] executes the same §4
+    semantics from compiled op arrays, shares only {!stats}, and is
+    held to the oracle by the conformance matrix. *)
 
 type task = private {
   tid : int;  (** unique per activation (a retry gets a fresh tid) *)
@@ -65,18 +68,11 @@ val create : Spec.t -> Spec.bindings -> State.t -> t
 (** @raise Invalid_argument when the specification fails
     {!Spec.validate}. *)
 
-val spec : t -> Spec.t
-
-val state : t -> State.t
-
 val stats : t -> stats
 
 val push_initial : t -> string -> Value.t list -> unit
 (** Host-side activation into a task set (index stamped as a normal
     push from the root index). *)
-
-val pop_task : t -> string -> task option
-(** Dequeue the oldest pending task of a set and mark it running. *)
 
 val pop_any : t -> task option
 (** Dequeue round-robin across sets. *)
@@ -84,9 +80,6 @@ val pop_any : t -> task option
 val pop_min : t -> task option
 (** Dequeue the globally minimum pending task (per-set queue heads are
     per-set minima because for-each stamps are monotone). *)
-
-val pending_count : t -> int
-(** Tasks sitting in queues. *)
 
 val min_pending_head : t -> task option
 (** The smallest-index task among the queue heads, without popping. *)
@@ -117,15 +110,8 @@ val resume_ready : t -> task list
 (** Waiting tasks whose rendezvous has resolved; they are returned in
     index order, marked running, and their await binding is applied. *)
 
-val live_rule_count : t -> int
-(** Unresolved rule instances — occupied rule-engine lanes. *)
-
 val prim_counts : t -> (string * int) list
 (** Invocations per [Prim] kernel so far. *)
-
-val min_uncommitted_index : t -> Index.t option
-
-val min_waiting_index : t -> Index.t option
 
 val deadlocked : t -> bool
 (** No task is running or resumable, queues are empty, but waiting

@@ -1,9 +1,6 @@
 module Engine = Agp_core.Engine
 module Spec = Agp_core.Spec
-module State = Agp_core.State
-module Bdfg = Agp_dataflow.Bdfg
 module Sink = Agp_obs.Sink
-module Event = Agp_obs.Event
 module Attribution = Agp_obs.Attribution
 module Timeline = Agp_obs.Timeline
 module Lifecycle = Agp_obs.Lifecycle
@@ -11,24 +8,8 @@ module Metrics = Agp_obs.Metrics
 module Json = Agp_obs.Json
 module Report = Agp_obs.Report
 
-type in_flight = {
-  mutable ready : int;
-  mutable ops_done : int; (* stage occupancies consumed by this activation *)
-  tsk : Engine.task;
-}
-
-type pipeline = {
-  set_name : string;
-  pipe_id : int; (* global row id, for event identity *)
-  capacity : int;
-  stage_ops : int;
-  mutable window : in_flight list;
-  mutable stepped : bool; (* advanced at least one op this cycle *)
-}
-
-type engine =
-  | Legacy
-  | Compiled
+(* Kept only so existing callers that pass [~engine:Compiled] still build. *)
+type engine = Compiled
 
 type report = {
   cycles : int;
@@ -47,387 +28,13 @@ type report = {
   attribution : Attribution.t;
 }
 
-let prim_compute_latency (cfg : Config.t) name =
-  match List.assoc_opt name cfg.Config.prim_latency with
-  | Some l -> l
-  | None -> 4
-
-(* Latency of the op the engine just executed, judged from its kind and
-   the addresses it touched. *)
-let op_latency cfg mem state ~now ~op ~activated_delta =
-  let trace = State.drain_trace state in
-  let addrs =
-    List.map
-      (fun a -> (State.address_of state a.State.array_name a.State.index, a.State.is_write))
-      trace
+let run ?engine:(_ : engine option) ?(config = Config.default) ?(auto_size = true)
+    ?(sink = Sink.null) ?timeline ~spec ~bindings ~state ~initial () =
+  let cfg =
+    if config.Config.pipelines = [] && auto_size then
+      Config.with_pipelines config (Resource.heuristic_pipelines spec ~max_per_set:8)
+    else config
   in
-  match (op : Spec.op) with
-  | Spec.Let _ | Spec.Emit _ | Spec.If _ | Spec.Push _ | Spec.Alloc _ | Spec.Await _
-  | Spec.Abort | Spec.Retry ->
-      1
-  | Spec.Push_iter _ -> max 1 activated_delta
-  | Spec.Store _ ->
-      (* posted write: the task proceeds next cycle while the line
-         transfer still occupies cache and link (deep write buffer) *)
-      ignore (Memory.access_burst mem ~now ~addrs ~dependent:true);
-      1
-  | Spec.Load _ ->
-      let completion = Memory.access_burst mem ~now ~addrs ~dependent:true in
-      max 1 (completion - now)
-  | Spec.Prim (_, name, _) ->
-      let compute = prim_compute_latency cfg name in
-      let completion = Memory.access_burst mem ~now ~addrs ~dependent:false in
-      max compute (completion - now)
-
-let event_outcome = function
-  | Engine.Committed_task -> Event.Commit
-  | Engine.Aborted_task -> Event.Abort
-  | Engine.Retried_task -> Event.Retry
-
-let run_legacy ~cfg ~sink ?timeline ~spec ~bindings ~state ~initial () =
-  let wall_start = Unix.gettimeofday () in
-  let graph = Bdfg.of_spec spec in
-  let eng = Engine.create spec bindings state in
-  (* set_slot -> name once, instead of List.nth per cycle *)
-  let set_names =
-    Array.of_list (List.map (fun ts -> ts.Spec.ts_name) spec.Spec.task_sets)
-  in
-  let mem = Memory.create ~sink cfg in
-  State.set_tracing state true;
-  List.iter (fun (set, payload) -> Engine.push_initial eng set payload) initial;
-  (* initial pushes may touch no memory but could fire events; clear any
-     stray trace *)
-  ignore (State.drain_trace state);
-  let next_pipe = ref 0 in
-  let pipes =
-    List.concat_map
-      (fun ts ->
-        let set = ts.Spec.ts_name in
-        let stage_ops = Bdfg.stage_count graph set in
-        List.init (Config.pipeline_count cfg set) (fun _ ->
-            let pipe_id = !next_pipe in
-            incr next_pipe;
-            {
-              set_name = set;
-              pipe_id;
-              capacity = max 4 (stage_ops * cfg.Config.window_factor);
-              stage_ops;
-              window = [];
-              stepped = false;
-            }))
-      spec.Spec.task_sets
-    |> Array.of_list
-  in
-  let total_stage_ops = Array.fold_left (fun acc p -> acc + p.stage_ops) 0 pipes in
-  begin
-    match timeline with
-    | Some tl ->
-        Timeline.start tl ~total_stage_ops ~bytes_per_cycle:(Config.bytes_per_cycle cfg)
-    | None -> ()
-  end;
-  let attr = Attribution.create () in
-  let instrumented = Sink.enabled sink in
-  let squashes = ref [] in
-  let cycle = ref 0 in
-  let active_op_cycles = ref 0 in
-  let peak_in_flight = ref 0 in
-  let in_flight_count () = Array.fold_left (fun acc p -> acc + List.length p.window) 0 pipes in
-  (* The allocator reserves a priority lane for the minimum uncommitted
-     task: it can always enter a rule engine, reach its rendezvous and
-     fire its otherwise clause — the liveness argument of §4.2.1 under
-     finite lanes. *)
-  let must_stall_alloc tsk =
-    Engine.live_rule_count eng >= cfg.Config.rule_lanes
-    &&
-    match Engine.min_uncommitted_index eng with
-    | Some m -> Agp_core.Index.compare tsk.Engine.index m <> 0
-    | None -> false
-  in
-  let guard = ref 0 in
-  let minor_start = Gc.minor_words () in
-  while Engine.uncommitted_remaining eng do
-    incr guard;
-    if !guard > 50_000_000 then failwith "Accelerator.run: cycle budget exceeded";
-    let now = !cycle in
-    (* 1. issue: each pipeline may accept one task per cycle, capped by
-       queue bank bandwidth per set *)
-    let pops_left = Hashtbl.create 4 in
-    Array.iter
-      (fun p ->
-        if not (Hashtbl.mem pops_left p.set_name) then
-          Hashtbl.add pops_left p.set_name cfg.Config.queue_banks)
-      pipes;
-    Array.iter
-      (fun p ->
-        let left = Hashtbl.find pops_left p.set_name in
-        if List.length p.window >= p.capacity then begin
-          if instrumented && Engine.pending_count eng > 0 then
-            Sink.emit sink ~ts:now (Event.Queue_full { set = p.set_name; pipe = p.pipe_id })
-        end
-        else if left > 0 then begin
-          match Engine.pop_task eng p.set_name with
-          | Some tsk ->
-              Hashtbl.replace pops_left p.set_name (left - 1);
-              if instrumented then
-                Sink.emit sink ~ts:now
-                  (Event.Task_dispatch
-                     { set = p.set_name; pipe = p.pipe_id; tid = tsk.Engine.tid });
-              p.window <- { ready = now; ops_done = 0; tsk } :: p.window
-          | None -> ()
-        end)
-      pipes;
-    (* priority admission: the globally minimum task must always reach
-       the rule engines, or lane exhaustion can starve the otherwise
-       paths — admit it even into a full window (the squash/re-execute
-       slot of a TLS pipeline) *)
-    begin
-      match (Engine.min_pending_head eng, Engine.min_uncommitted_index eng) with
-      | Some head, Some m when Agp_core.Index.compare head.Engine.index m = 0 ->
-          let set = set_names.(head.Engine.set_slot) in
-          let in_window =
-            Array.exists
-              (fun p -> List.exists (fun f -> f.tsk.Engine.tid = head.Engine.tid) p.window)
-              pipes
-          in
-          if not in_window then begin
-            match Engine.pop_task eng set with
-            | Some tsk ->
-                let p = Array.to_list pipes |> List.find (fun p -> p.set_name = set) in
-                if instrumented then
-                  Sink.emit sink ~ts:now
-                    (Event.Task_dispatch { set; pipe = p.pipe_id; tid = tsk.Engine.tid });
-                p.window <- { ready = now; ops_done = 0; tsk } :: p.window
-            | None -> ()
-          end
-      | (Some _ | None), (Some _ | None) -> ()
-    end;
-    peak_in_flight := max !peak_in_flight (in_flight_count ());
-    (* 2. execute one op for every ready in-flight task *)
-    let any_finish = ref false in
-    Array.iter
-      (fun p ->
-        let survivors = ref [] in
-        List.iter
-          (fun f ->
-            if f.ready > now then survivors := f :: !survivors
-            else begin
-              match f.tsk.Engine.cont with
-              | Spec.Alloc _ :: _ when must_stall_alloc f.tsk ->
-                  (* stall at the rule-engine allocator *)
-                  f.ready <- now + 1;
-                  survivors := f :: !survivors
-              | ops -> begin
-                  let op = List.nth_opt ops 0 in
-                  let activated_before = (Engine.stats eng).Engine.activated in
-                  match Engine.step eng f.tsk with
-                  | Engine.Stepped ->
-                      incr active_op_cycles;
-                      p.stepped <- true;
-                      f.ops_done <- f.ops_done + 1;
-                      let delta = (Engine.stats eng).Engine.activated - activated_before in
-                      let lat =
-                        match op with
-                        | Some op ->
-                            op_latency cfg mem state ~now ~op ~activated_delta:delta
-                        | None -> 1
-                      in
-                      f.ready <- now + lat;
-                      survivors := f :: !survivors
-                  | Engine.Blocked ->
-                      (* parked in a rule lane at the rendezvous *)
-                      incr active_op_cycles;
-                      p.stepped <- true;
-                      f.ops_done <- f.ops_done + 1;
-                      if instrumented then
-                        Sink.emit sink ~ts:now
-                          (Event.Rendezvous_park
-                             { set = p.set_name; pipe = p.pipe_id; tid = f.tsk.Engine.tid });
-                      any_finish := true
-                  | Engine.Finished outcome ->
-                      incr active_op_cycles;
-                      p.stepped <- true;
-                      f.ops_done <- f.ops_done + 1;
-                      begin
-                        match outcome with
-                        | Engine.Aborted_task | Engine.Retried_task ->
-                            squashes := (p.set_name, f.ops_done) :: !squashes
-                        | Engine.Committed_task -> ()
-                      end;
-                      if instrumented then
-                        Sink.emit sink ~ts:now
-                          (Event.Task_finish
-                             {
-                               set = p.set_name;
-                               pipe = p.pipe_id;
-                               tid = f.tsk.Engine.tid;
-                               outcome = event_outcome outcome;
-                             });
-                      any_finish := true
-                end
-            end)
-          p.window;
-        p.window <- !survivors)
-      pipes;
-    if !any_finish then Engine.resolve_pending eng;
-    (* 3. wake resolved rendezvous back into their pipelines *)
-    let place_resumed tasks =
-      List.iter
-        (fun tsk ->
-          let set = set_names.(tsk.Engine.set_slot) in
-          let best = ref None in
-          Array.iter
-            (fun p ->
-              if p.set_name = set then
-                match !best with
-                | None -> best := Some p
-                | Some b -> if List.length p.window < List.length b.window then best := Some p)
-            pipes;
-          match !best with
-          | Some p ->
-              if instrumented then begin
-                Sink.emit sink ~ts:now (Event.Rendezvous_resume { set; tid = tsk.Engine.tid });
-                Sink.emit sink ~ts:(now + 1)
-                  (Event.Task_dispatch { set; pipe = p.pipe_id; tid = tsk.Engine.tid })
-              end;
-              p.window <- { ready = now + 1; ops_done = 0; tsk } :: p.window
-          | None -> failwith "Accelerator.run: no pipeline for resumed task")
-        tasks
-    in
-    let resumed = Engine.resume_ready eng in
-    place_resumed resumed;
-    (* 4. advance time: fast-forward to the next event when everything
-       in flight is waiting on latency *)
-    let next_ready =
-      Array.fold_left
-        (fun acc p -> List.fold_left (fun acc f -> min acc f.ready) acc p.window)
-        max_int pipes
-    in
-    let can_issue =
-      Engine.pending_count eng > 0
-      && Array.exists (fun p -> List.length p.window < p.capacity) pipes
-    in
-    let next =
-      if can_issue || resumed <> [] then now + 1
-      else if next_ready < max_int then max (now + 1) next_ready
-      else now + 1
-    in
-    (* stall attribution: charge each pipeline exactly (next - now)
-       cycles, so the buckets always decompose cycles x pipelines *)
-    let dt = next - now in
-    let waiting_sets =
-      lazy
-        (let tbl = Hashtbl.create 4 in
-         List.iter
-           (fun (w : Engine.task) -> Hashtbl.replace tbl set_names.(w.Engine.set_slot) ())
-           (Engine.waiting_tasks eng);
-         tbl)
-    in
-    let set_waiting s = Hashtbl.mem (Lazy.force waiting_sets) s in
-    let pending_now = Engine.pending_count eng in
-    Array.iter
-      (fun p ->
-        let cls =
-          if p.stepped then Attribution.Busy
-          else if p.window <> [] then Attribution.Mem_stall
-          else if set_waiting p.set_name then Attribution.Rendezvous_stall
-          else if pending_now > 0 && Hashtbl.find pops_left p.set_name = 0 then
-            Attribution.Queue_full
-          else Attribution.Idle
-        in
-        Attribution.charge attr ~set:p.set_name cls 1;
-        if dt > 1 then begin
-          (* fast-forwarded cycles: nothing issues or executes *)
-          let wait_cls =
-            if p.window <> [] then Attribution.Mem_stall
-            else if set_waiting p.set_name then Attribution.Rendezvous_stall
-            else Attribution.Idle
-          in
-          Attribution.charge attr ~set:p.set_name wait_cls (dt - 1)
-        end;
-        p.stepped <- false)
-      pipes;
-    List.iter
-      (fun (set, ops) ->
-        ignore
-          (Attribution.reclassify attr ~set ~src:Attribution.Busy ~dst:Attribution.Squash_waste
-             ops))
-      !squashes;
-    squashes := [];
-    (* deadlock detection: nothing in flight, nothing pending, only
-       waiting tasks whose rules cannot resolve *)
-    if
-      (not can_issue)
-      && next_ready = max_int
-      && resumed = []
-      && Engine.uncommitted_remaining eng
-    then begin
-      Engine.resolve_pending eng;
-      match Engine.resume_ready eng with
-      | [] ->
-          if Engine.deadlocked eng then failwith "Accelerator.run: deadlock in rule resolution"
-      | woken -> place_resumed woken
-    end;
-    begin
-      match timeline with
-      | Some tl when Timeline.due tl ~upto:next ->
-          let mst = Memory.stats mem in
-          Timeline.tick tl ~upto:next
-            {
-              Timeline.in_flight = in_flight_count ();
-              pending = Engine.pending_count eng;
-              active_ops = !active_op_cycles;
-              mem_hits = mst.Memory.hits;
-              mem_misses = mst.Memory.misses;
-              link_bytes = mst.Memory.bytes_over_link;
-            }
-      | Some _ | None -> ()
-    end;
-    cycle := next
-  done;
-  let minor_words = Gc.minor_words () -. minor_start in
-  State.set_tracing state false;
-  begin
-    match timeline with
-    | Some tl ->
-        let mst = Memory.stats mem in
-        Timeline.finish tl ~cycles:!cycle
-          {
-            Timeline.in_flight = in_flight_count ();
-            pending = Engine.pending_count eng;
-            active_ops = !active_op_cycles;
-            mem_hits = mst.Memory.hits;
-            mem_misses = mst.Memory.misses;
-            link_bytes = mst.Memory.bytes_over_link;
-          }
-    | None -> ()
-  end;
-  let st = Memory.stats mem in
-  (* simulator throughput: host wall clock, not simulated time — the
-     signal the CI ratchet and the cost-model calibration consume *)
-  let wall_seconds = Float.max 1e-9 (Unix.gettimeofday () -. wall_start) in
-  {
-    cycles = !cycle;
-    seconds = Config.cycles_to_seconds cfg !cycle;
-    wall_seconds;
-    sim_cycles_per_sec = float_of_int !cycle /. wall_seconds;
-    minor_words_per_cycle =
-      (if !cycle = 0 then 0.0 else minor_words /. float_of_int !cycle);
-    utilization =
-      (if !cycle = 0 || total_stage_ops = 0 then 0.0
-       else float_of_int !active_op_cycles /. float_of_int (!cycle * total_stage_ops));
-    engine_stats = Engine.stats eng;
-    mem_reads = st.Memory.reads;
-    mem_writes = st.Memory.writes;
-    mem_hit_rate = Memory.hit_rate mem;
-    bytes_over_link = st.Memory.bytes_over_link;
-    peak_in_flight = !peak_in_flight;
-    pipelines =
-      List.map (fun ts -> (ts.Spec.ts_name, Config.pipeline_count cfg ts.Spec.ts_name))
-        spec.Spec.task_sets;
-    attribution = attr;
-  }
-
-let run_compiled ~cfg ~sink ?timeline ~spec ~bindings ~state ~initial () =
   let wall_start = Unix.gettimeofday () in
   let r = Engine_compiled.run ?timeline ~cfg ~sink ~spec ~bindings ~state ~initial () in
   let wall_seconds = Float.max 1e-9 (Unix.gettimeofday () -. wall_start) in
@@ -457,17 +64,6 @@ let run_compiled ~cfg ~sink ?timeline ~spec ~bindings ~state ~initial () =
         spec.Spec.task_sets;
     attribution = r.Engine_compiled.r_attr;
   }
-
-let run ?(engine = Compiled) ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null)
-    ?timeline ~spec ~bindings ~state ~initial () =
-  let cfg =
-    if config.Config.pipelines = [] && auto_size then
-      Config.with_pipelines config (Resource.heuristic_pipelines spec ~max_per_set:8)
-    else config
-  in
-  match engine with
-  | Legacy -> run_legacy ~cfg ~sink ?timeline ~spec ~bindings ~state ~initial ()
-  | Compiled -> run_compiled ~cfg ~sink ?timeline ~spec ~bindings ~state ~initial ()
 
 let config_json (cfg : Config.t) =
   [

@@ -2,15 +2,17 @@
     (Fig. 7): replicated task pipelines per task set, multi-bank task
     queues, shared rule engines, and the cache/QPI memory subsystem.
 
-    The simulator wraps the semantic {!Agp_core.Engine} — the very same
-    transition system the software runtimes use — and charges time
-    around each operation: loads and stores travel through
-    {!Memory}, data-dependent spawners occupy their stage once per
-    emitted token, prims occupy their stage for a configured kernel
-    latency plus their access burst, rendezvous park the task in a rule
-    lane until resolution.  Because semantics and timing are strictly
-    separated, every accelerated run is validated with the same checks
-    as the software runs.
+    The model runs on {!Engine_compiled}, which executes the
+    specification as compiled op arrays and charges time around each
+    operation: loads and stores travel through {!Memory},
+    data-dependent spawners occupy their stage once per emitted token,
+    prims occupy their stage for a configured kernel latency plus their
+    access burst, rendezvous park the task in a rule lane until
+    resolution.  It mutates the same {!Agp_core.State} as the software
+    runtimes, so every accelerated run is validated with the same
+    checks.  The conformance matrix checks its semantics against the
+    sequential oracle, and exact per-app pins (cycles, statistics,
+    memory traffic, attribution, event stream) check its timing.
 
     The simulator is observable: pass a {!Agp_obs.Sink} to capture the
     structured event stream (task dispatch/finish, rendezvous
@@ -21,9 +23,8 @@
     simulated timing is identical either way (the observer never
     perturbs the model). *)
 
-type engine =
-  | Legacy  (** tree-walking {!Agp_core.Engine} stepped per cycle *)
-  | Compiled  (** {!Engine_compiled}: op-array dispatch, pooled frames *)
+(* The only engine; kept with {!run}'s ignored [?engine] because perfbench passes it. *)
+type engine = Compiled
 
 type report = {
   cycles : int;
@@ -64,10 +65,7 @@ val run :
   unit ->
   report
 (** Simulate to quiescence, mutating [state] exactly as the software
-    runtimes would.  [engine] (default {!Compiled}) picks the cycle
-    engine; both produce identical cycles, state, statistics,
-    attribution and event streams (asserted by the conformance
-    harness), differing only in wall-clock speed.  With [auto_size]
+    runtimes would.  [engine] is ignored.  With [auto_size]
     (default true) the pipeline replication is chosen by
     {!Resource.heuristic_pipelines} when the configuration leaves it
     empty.  [sink] (default {!Agp_obs.Sink.null}) captures the event

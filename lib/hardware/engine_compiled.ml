@@ -2,13 +2,11 @@
    pooled, preallocated mutable frames instead of tree-walking
    [Spec.op] lists with hashtable environments.
 
-   The engine is cycle- and state-equivalent to running
-   {!Agp_core.Engine} under the legacy [Accelerator] loop: same cycle
-   count, same engine statistics, same memory traffic, same stall
-   attribution and same observability event stream.  Equivalence is
-   enforced by the conformance matrix (the [simulator:classic] backend
-   keeps the tree-walking path alive as an oracle) and by a qcheck
-   cycle-equivalence test.
+   It is the simulator's only cycle engine.  Two checks hold it in
+   place: the conformance matrix compares its final state with the
+   sequential oracle's on every app, and exact per-app pins
+   (test/golden/engine-pins.json) fix its cycle count, engine
+   statistics, memory traffic, stall attribution and event stream.
 
    What makes it fast:
    - task bodies are flat op arrays dispatched by pc ([match code.(pc)]),
@@ -193,7 +191,7 @@ type pipe = {
   cp_id : int;
   cp_capacity : int;
   cp_stage_ops : int;
-  mutable cp_win : ctask array; (* window in legacy list order, head at 0 *)
+  mutable cp_win : ctask array; (* window, newest entry at head 0 *)
   mutable cp_n : int;
   mutable cp_stepped : bool;
 }
@@ -212,8 +210,8 @@ type t = {
   mutable running : int;
   waiting : ctask Vec.t; (* append order = oldest first *)
   (* binary min-heap over (index row, task, tid) — replicates
-     Agp_util.Heap's sift exactly so tie-breaking matches the legacy
-     engine *)
+     Agp_util.Heap's sift exactly so tie-breaking matches
+     Agp_core.Engine's uncommitted heap *)
   mutable h_idx : int array; (* flattened rows, width stride *)
   mutable h_task : ctask array;
   mutable h_tid : int array;
@@ -1188,7 +1186,7 @@ let resolve_pending en =
   done
 
 (* wake every waiting task whose rule resolved, in ascending index
-   order (stable w.r.t. the legacy newest-first waiting order); the
+   order (stable w.r.t. the newest-first waiting order); the
    woken tasks are left in [en.resumed] *)
 let resume_ready en =
   Vec.clear en.resumed;
@@ -1597,8 +1595,8 @@ let run ?timeline ~cfg ~sink ~spec ~bindings ~state ~initial () =
             end
         end
       done;
-      (* the legacy loop rebuilds the window by consing survivors in
-         visit order: the new window is their reverse *)
+      (* survivors are re-consed in visit order: the new window is
+         their reverse *)
       let ns = Vec.length scratch in
       for i = 0 to ns - 1 do
         p.cp_win.(i) <- Vec.get scratch (ns - 1 - i)
@@ -1659,8 +1657,8 @@ let run ?timeline ~cfg ~sink ~spec ~bindings ~state ~initial () =
       end;
       p.cp_stepped <- false
     done;
-    (* squash reclassification, newest first (the legacy list is built
-       by consing); clamp to the busy balance accrued so far *)
+    (* squash reclassification, newest first; clamp to the busy
+       balance accrued so far *)
     for i = Vec.length sq_set - 1 downto 0 do
       let set = Vec.get sq_set i and ops = Vec.get sq_ops i in
       let moved = imin ops matrix.((set * 6) + b_busy) in
@@ -1718,7 +1716,7 @@ let run ?timeline ~cfg ~sink ~spec ~bindings ~state ~initial () =
     | None -> ()
   end;
   (* replay the flat attribution matrix into the shared Attribution.t
-     (sets in pipeline order = first-charge order of the legacy loop) *)
+     (sets in pipeline order = first-charge order) *)
   let attr = Attribution.create () in
   let seen = Array.make (max n_sets 1) false in
   Array.iter

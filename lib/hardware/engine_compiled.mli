@@ -1,19 +1,18 @@
-(** Compiled cycle engine: the tree-walking {!Agp_core.Engine} +
-    {!Accelerator} cycle loop fused into a bytecode dispatch loop over
-    {!Agp_core.Opcode} op arrays.
+(** Compiled cycle engine: the accelerator model's cycle loop as a
+    bytecode dispatch loop over {!Agp_core.Opcode} op arrays.
 
     The spec is compiled once ({!Agp_core.Opcode.compile}); tasks are
     pooled mutable frames whose registers and payloads live in
     preallocated unboxed int/float arrays, task queues are rings, the
     priority queue is a flat binary heap, and per-cycle stall
     attribution accumulates in a flat int matrix — the steady-state
-    loop allocates zero words per cycle.  Idle cycles are skipped by
-    the same next-ready fast-forward wheel as the legacy loop.
+    loop allocates zero words per cycle.  Idle cycles are skipped by a
+    next-ready fast-forward wheel.
 
-    Semantics and timing are replicated exactly: a run produces the
-    same final state, cycle count, engine statistics, attribution and
-    event stream as the legacy engine (asserted by the conformance
-    qcheck in [test/test_conformance.ml]). *)
+    The conformance matrix holds its final state to the sequential
+    oracle, and the pin test in [test/test_conformance.ml] holds its
+    cycle count, engine statistics, memory traffic, attribution and
+    event stream to exact per-app pins. *)
 
 type result = {
   r_cycles : int;

@@ -60,6 +60,10 @@ type cclause = {
   c_label : int; (* label id for reached, -1 otherwise *)
   c_cond : eop array;
   c_return : bool option; (* None = Decrement *)
+  (* (field, param) equalities one of which holds whenever the
+     condition does; empty when no such key can be extracted *)
+  c_keys : (int * int) array;
+  c_total : bool; (* cannot raise on int-tagged fields and params *)
 }
 
 type crule = {
@@ -70,6 +74,9 @@ type crule = {
   r_min_waiting : bool; (* otherwise scope *)
   r_counted : bool;
   r_has_decrement : bool;
+  (* every activated/reached clause is total and keyed, and the rule is
+     not counted: its instances can live in the engine's key index *)
+  r_keyed : bool;
 }
 
 type program = {
@@ -92,6 +99,8 @@ type program = {
   max_rule_params : int; (* widest Alloc argument list *)
   max_event_fields : int; (* widest event field vector (payloads + emits) *)
   has_counted : bool;
+  has_min_changed : bool; (* some clause listens to min_changed *)
+  has_min_waiting : bool; (* some rule's otherwise scope is Min_waiting *)
 }
 
 (* --- interning --- *)
@@ -113,6 +122,47 @@ let intern t name =
       i
 
 let interned t = Array.of_list (List.rev t.names)
+
+(* --- rule-condition keys ---
+
+   A key is a disjunction of [CField f = CParam p] equalities implied by
+   the condition: whenever the condition is true, one of them holds.
+   The engine uses it to visit only the rule instances whose param
+   matches the event field, instead of every live instance. *)
+
+let rec cond_keys (c : Spec.cond) =
+  match c with
+  | Spec.CBinop (Spec.Eq, Spec.CField f, Spec.CParam p)
+  | Spec.CBinop (Spec.Eq, Spec.CParam p, Spec.CField f) ->
+      Some [ (f, p) ]
+  | Spec.CBinop (Spec.And, a, b) -> (
+      match cond_keys a with
+      | Some _ as k -> k
+      | None -> cond_keys b)
+  | Spec.CBinop (Spec.Or, a, b) -> (
+      match (cond_keys a, cond_keys b) with
+      | Some ka, Some kb -> Some (ka @ kb)
+      | _ -> None)
+  | _ -> None
+
+(* Total: evaluation cannot raise once every field and param is an int
+   (out-of-range probes aside, which only make the clause false).  Only
+   comparisons between fields and params, boolean connectives, the
+   order and overlap tests and boolean constants qualify; arithmetic,
+   a constant comparand or a bare value in boolean position can meet a
+   type error. *)
+let rec cond_total (c : Spec.cond) =
+  let atom = function
+    | Spec.CField _ | Spec.CParam _ -> true
+    | _ -> false
+  in
+  match c with
+  | Spec.CConst _ | Spec.CEarlier | Spec.CLater | Spec.COverlap _ -> true
+  | Spec.CNot c -> cond_total c
+  | Spec.CBinop ((Spec.And | Spec.Or), a, b) -> cond_total a && cond_total b
+  | Spec.CBinop ((Spec.Eq | Spec.Ne | Spec.Lt | Spec.Le | Spec.Gt | Spec.Ge), a, b) ->
+      atom a && atom b
+  | Spec.CBinop _ | Spec.CParam _ | Spec.CField _ -> false
 
 (* --- compilation --- *)
 
@@ -330,6 +380,10 @@ let compile (spec : Spec.t) : program =
                         (match c.Spec.action with
                         | Spec.Return_bool b -> Some b
                         | Spec.Decrement -> None);
+                      c_keys =
+                        Array.of_list
+                          (Option.value ~default:[] (cond_keys c.Spec.condition));
+                      c_total = cond_total c.Spec.condition;
                     })
                   r.Spec.clauses)
            in
@@ -342,6 +396,11 @@ let compile (spec : Spec.t) : program =
              r_counted = r.Spec.counted;
              r_has_decrement =
                Array.exists (fun c -> c.c_return = None) clauses;
+             r_keyed =
+               (not r.Spec.counted)
+               && Array.for_all
+                    (fun c -> c.c_kind = 2 || (c.c_total && Array.length c.c_keys > 0))
+                    clauses;
            })
          spec.Spec.rules)
   in
@@ -376,4 +435,7 @@ let compile (spec : Spec.t) : program =
     max_rule_params = max 1 !max_rule_params;
     max_event_fields = max 1 max_event_fields;
     has_counted = List.exists (fun (r : Spec.rule) -> r.Spec.counted) spec.Spec.rules;
+    has_min_changed =
+      Array.exists (fun r -> Array.exists (fun c -> c.c_kind = 2) r.r_clauses) rules;
+    has_min_waiting = Array.exists (fun r -> r.r_min_waiting) rules;
   }

@@ -56,6 +56,9 @@ type cclause = {
   c_label : int;  (** label id for reached, -1 otherwise *)
   c_cond : eop array;
   c_return : bool option;  (** None = Decrement *)
+  c_keys : (int * int) array;
+      (** [(field, param)] pairs from {!cond_keys}; empty when unkeyed *)
+  c_total : bool;  (** {!cond_total} of the condition *)
 }
 
 type crule = {
@@ -66,6 +69,9 @@ type crule = {
   r_min_waiting : bool;  (** otherwise scope is [Min_waiting] *)
   r_counted : bool;
   r_has_decrement : bool;
+  r_keyed : bool;
+      (** not counted, and every activated/reached clause is total with a
+          non-empty key: instances can be dispatched by key lookup *)
 }
 
 type program = {
@@ -88,7 +94,23 @@ type program = {
   max_rule_params : int;  (** widest Alloc argument list *)
   max_event_fields : int;  (** widest event field vector (payloads + emits) *)
   has_counted : bool;
+  has_min_changed : bool;  (** some clause listens to [On_min_changed] *)
+  has_min_waiting : bool;  (** some rule's otherwise scope is [Min_waiting] *)
 }
+
+val cond_keys : Spec.cond -> (int * int) list option
+(** A disjunction of [CField f = CParam p] equalities, as [(f, p)]
+    pairs, one of which holds whenever the condition is true and every
+    field and param is an int.  [Eq] of a field and a param yields that
+    pair, [And] the key of its first keyed side, [Or] the union when
+    both sides are keyed; anything else is unkeyed ([None]). *)
+
+val cond_total : Spec.cond -> bool
+(** The condition cannot raise when every field and param is
+    int-tagged: it is built only from comparisons of fields and params,
+    [And]/[Or]/[Not], [CEarlier]/[CLater]/[COverlap] and boolean
+    [CConst]s.  Arithmetic, a constant comparand, or a bare field or
+    param in boolean position make it non-total. *)
 
 val compile : Spec.t -> program
 (** Compile a validated spec.  @raise Invalid_argument on an Alloc of a

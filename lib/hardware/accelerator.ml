@@ -18,6 +18,7 @@ type report = {
   wall_seconds : float;
   sim_cycles_per_sec : float;
   minor_words_per_cycle : float;
+  cond_evals : int;
   engine_stats : Agp_core.Engine.stats;
   mem_reads : int;
   mem_writes : int;
@@ -53,6 +54,7 @@ let run ?engine:(_ : engine option) ?(config = Config.default) ?(auto_size = tru
        else
          float_of_int r.Engine_compiled.r_active_op_cycles
          /. float_of_int (cycles * r.Engine_compiled.r_total_stage_ops));
+    cond_evals = r.Engine_compiled.r_cond_evals;
     engine_stats = r.Engine_compiled.r_stats;
     mem_reads = st.Memory.reads;
     mem_writes = st.Memory.writes;

@@ -40,6 +40,9 @@ type report = {
       (** minor-heap words allocated per simulated cycle inside the
           cycle loop — the lower-is-better gate on the compiled
           engine's zero-allocation claim *)
+  cond_evals : int;
+      (** rule-clause conditions the engine evaluated; kept out of
+          [engine_stats] and the metrics so pins and reports hold *)
   engine_stats : Agp_core.Engine.stats;
   mem_reads : int;
   mem_writes : int;
@@ -74,7 +77,10 @@ val run :
     utilization / occupancy / cache / link activity; the sampler only
     reads counters, so a sampled run's report is identical to an
     unsampled one.
-    @raise Failure on deadlock or divergence. *)
+    @raise Agp_core.Semantics.Deadlock on a rendezvous no event or
+    otherwise clause can resolve.
+    @raise Agp_core.Semantics.Step_limit_exceeded when the run exceeds
+    the cycle-loop budget. *)
 
 val metrics_registry :
   ?events:(int * Agp_obs.Event.t) list -> report -> Agp_obs.Metrics.registry

@@ -19,7 +19,10 @@
      lists, so the steady-state loop allocates no words per cycle;
    - time advances straight to the next ready timestamp (the event
      wheel): when every in-flight frame is waiting out memory latency
-     the loop jumps to [min ready] instead of polling cycle by cycle. *)
+     the loop jumps to [min ready] instead of polling cycle by cycle;
+   - a rule event visits only the live instances whose key matches it
+     (the CAM compare, by hash lookup; see [kindex]), and the waiting
+     list is rescanned only after a resolve hit a parked task. *)
 
 module Spec = Agp_core.Spec
 module Value = Agp_core.Value
@@ -28,6 +31,7 @@ module State = Agp_core.State
 module Opcode = Agp_core.Opcode
 module Engine = Agp_core.Engine
 module Binop = Agp_core.Binop
+module Semantics = Agp_core.Semantics
 module Bdfg = Agp_dataflow.Bdfg
 module Vec = Agp_util.Vec
 module Sink = Agp_obs.Sink
@@ -85,9 +89,9 @@ and cinst = {
   ri_pf : float array;
   ri_ptg : int array;
   mutable ri_np : int;
-  mutable ri_counter : int;
   mutable ri_resolved : int; (* 0 = unresolved, 1 = false, 2 = true *)
   mutable ri_pos : int; (* slot in the live vec, -1 = not live *)
+  ri_id : int; (* stable pool id: indexes the key index's per-instance arrays *)
 }
 
 let rec nil_task =
@@ -121,9 +125,9 @@ and nil_inst =
     ri_pf = [||];
     ri_ptg = [||];
     ri_np = 0;
-    ri_counter = 0;
     ri_resolved = 0;
     ri_pos = -1;
+    ri_id = -1;
   }
 
 (* per-set pending queue: FIFO ring of task pointers with push_front for
@@ -185,6 +189,33 @@ type lev = {
   le_n : int;
 }
 
+(* Key index over the live instances of keyed rules (Opcode.r_keyed).
+   Every (rule, activated/reached clause, key disjunct) is a slot with
+   one (field, param) pair; an instance with all-int params has one
+   node per slot of its rule, keyed by (slot, param value), threaded on
+   intrusive hash chains.  Nodes are flat ints — node [id * kw + j] is
+   the j-th slot of the instance with [ri_id = id] — and per-instance
+   bookkeeping lives in arrays by [ri_id], so linking, unlinking and
+   probing allocate nothing. *)
+type kindex = {
+  k_slots : int array array; (* per rule: its slot ids, in node order *)
+  k_field : int array; (* per slot *)
+  k_param : int array; (* per slot *)
+  k_probe : int array array; (* per event class: slots whose clause matches *)
+  k_labels : int; (* label count, for the reached event classes *)
+  kw : int; (* node stride: most slots of any rule, >= 1 *)
+  mutable heads : int array; (* chain heads by hash, -1 = empty *)
+  mutable linked : int;
+  mutable nx : int array; (* per node: next on its chain, -1 = end *)
+  mutable pv : int array; (* per node: previous, -1 = chain head *)
+  mutable slot : int array; (* per node: slot, -1 = unlinked *)
+  mutable key : int array; (* per node: param value *)
+  mutable by_id : cinst array;
+  mutable rpos : int array; (* per instance: slot in the residual vec, -1 = none *)
+  mutable seen : int array; (* per instance: last keyed dispatch that collected it *)
+  mutable counter : int array; (* per instance: countdown of a counted rule *)
+}
+
 type pipe = {
   cp_set : int;
   cp_set_name : string;
@@ -217,6 +248,9 @@ type t = {
   mutable h_tid : int array;
   mutable h_len : int;
   live : cinst Vec.t;
+  residual : cinst Vec.t; (* live instances outside the key index *)
+  kx : kindex;
+  mutable ev_seq : int; (* keyed dispatches so far, the [seen] stamp *)
   snap : cinst Vec.t; (* iteration snapshot for event firing *)
   free_tasks : ctask Vec.t;
   free_insts : cinst Vec.t;
@@ -248,6 +282,14 @@ type t = {
   ar_f : float array;
   ar_tg : int array;
   resumed : ctask Vec.t;
+  mutable n_insts : int; (* instances ever created = next ri_id *)
+  mutable wake : bool; (* a resolve hit a parked task's awaited instance *)
+  wait_count : int array; (* parked tasks per set *)
+  (* the otherwise scan's inputs: it reruns only when the waiting list
+     or the minimum uncommitted task changed since it last ran *)
+  mutable wait_dirty : bool;
+  mutable scan_mu : int; (* tid of that minimum, -1 = none, -2 = never scanned *)
+  mutable cond_evals : int; (* clause conditions evaluated *)
   mutable step_lat : int;
 }
 
@@ -458,20 +500,52 @@ let new_task en ~set ~n_pay =
   tk.fr_ops <- 0;
   tk
 
+let kx_grow kx n_ids =
+  let cap = Array.length kx.by_id in
+  if n_ids > cap then begin
+    let ncap = imax n_ids (2 * cap) in
+    let widen a fill =
+      let b = Array.make (ncap * kx.kw) fill in
+      Array.blit a 0 b 0 (Array.length a);
+      b
+    in
+    kx.nx <- widen kx.nx (-1);
+    kx.pv <- widen kx.pv (-1);
+    kx.slot <- widen kx.slot (-1);
+    kx.key <- widen kx.key 0;
+    let per_inst a fill =
+      let b = Array.make ncap fill in
+      Array.blit a 0 b 0 cap;
+      b
+    in
+    kx.by_id <- per_inst kx.by_id nil_inst;
+    kx.rpos <- per_inst kx.rpos (-1);
+    kx.seen <- per_inst kx.seen 0;
+    kx.counter <- per_inst kx.counter 0
+  end
+
 let new_inst en =
   if Vec.length en.free_insts > 0 then Vec.pop en.free_insts
-  else
-    {
-      ri_rule = 0;
-      ri_parent = nil_task;
-      ri_pi = Array.make en.prog.Opcode.max_rule_params 0;
-      ri_pf = Array.make en.prog.Opcode.max_rule_params 0.0;
-      ri_ptg = Array.make en.prog.Opcode.max_rule_params tg_int;
-      ri_np = 0;
-      ri_counter = 0;
-      ri_resolved = 0;
-      ri_pos = -1;
-    }
+  else begin
+    let id = en.n_insts in
+    en.n_insts <- id + 1;
+    kx_grow en.kx (id + 1);
+    let inst =
+      {
+        ri_rule = 0;
+        ri_parent = nil_task;
+        ri_pi = Array.make en.prog.Opcode.max_rule_params 0;
+        ri_pf = Array.make en.prog.Opcode.max_rule_params 0.0;
+        ri_ptg = Array.make en.prog.Opcode.max_rule_params tg_int;
+        ri_np = 0;
+        ri_resolved = 0;
+        ri_pos = -1;
+        ri_id = id;
+      }
+    in
+    en.kx.by_id.(id) <- inst;
+    inst
+  end
 
 (* --- uncommitted-order heap (replicates Agp_util.Heap's sifts) --- *)
 
@@ -570,19 +644,99 @@ let rec min_uncommitted en =
     end
   end
 
+(* --- key index --- *)
+
+let kx_hash kx s v =
+  let h = ((v * 0x9E3779B1) + s) * 0x85EBCA77 in
+  (h lxor (h lsr 29)) land (Array.length kx.heads - 1)
+
+let kx_push kx n =
+  let h = kx_hash kx kx.slot.(n) kx.key.(n) in
+  let hd = kx.heads.(h) in
+  kx.nx.(n) <- hd;
+  kx.pv.(n) <- -1;
+  if hd >= 0 then kx.pv.(hd) <- n;
+  kx.heads.(h) <- n
+
+(* double the chain heads and re-thread every linked node, keeping the
+   load factor at most 1 *)
+let kx_rehash kx =
+  kx.heads <- Array.make (2 * Array.length kx.heads) (-1);
+  for n = 0 to Array.length kx.slot - 1 do
+    if kx.slot.(n) >= 0 then kx_push kx n
+  done
+
+let kx_link kx n s v =
+  kx.slot.(n) <- s;
+  kx.key.(n) <- v;
+  kx.linked <- kx.linked + 1;
+  if kx.linked > Array.length kx.heads then kx_rehash kx else kx_push kx n
+
+let kx_unlink kx n =
+  let nx = kx.nx.(n) and pv = kx.pv.(n) in
+  if pv >= 0 then kx.nx.(pv) <- nx else kx.heads.(kx_hash kx kx.slot.(n) kx.key.(n)) <- nx;
+  if nx >= 0 then kx.pv.(nx) <- pv;
+  kx.slot.(n) <- -1;
+  kx.linked <- kx.linked - 1
+
+let rec all_int (tg : int array) i n = i >= n || (tg.(i) = tg_int && all_int tg (i + 1) n)
+
+(* a new live instance joins the key index when its rule is keyed and
+   its params are ints (so its total conditions cannot raise); every
+   other live instance goes to the residual list, which each event
+   visits in full *)
+let index_inst en inst =
+  let kx = en.kx in
+  if
+    en.prog.Opcode.rules.(inst.ri_rule).Opcode.r_keyed && all_int inst.ri_ptg 0 inst.ri_np
+  then begin
+    let slots = kx.k_slots.(inst.ri_rule) in
+    for j = 0 to Array.length slots - 1 do
+      let s = slots.(j) in
+      let p = kx.k_param.(s) in
+      (* an out-of-range param makes that clause false for every event *)
+      if p >= 0 && p < inst.ri_np then kx_link kx ((inst.ri_id * kx.kw) + j) s inst.ri_pi.(p)
+    done
+  end
+  else begin
+    kx.rpos.(inst.ri_id) <- Vec.length en.residual;
+    Vec.push en.residual inst
+  end
+
+let unindex_inst en inst =
+  let kx = en.kx in
+  let pos = kx.rpos.(inst.ri_id) in
+  if pos >= 0 then begin
+    let last = Vec.pop en.residual in
+    if last != inst then begin
+      Vec.set en.residual pos last;
+      kx.rpos.(last.ri_id) <- pos
+    end;
+    kx.rpos.(inst.ri_id) <- -1
+  end
+  else
+    for j = 0 to Array.length kx.k_slots.(inst.ri_rule) - 1 do
+      let n = (inst.ri_id * kx.kw) + j in
+      if kx.slot.(n) >= 0 then kx_unlink kx n
+    done
+
+let drop_live en inst =
+  let last = Vec.pop en.live in
+  if last != inst then begin
+    Vec.set en.live inst.ri_pos last;
+    last.ri_pos <- inst.ri_pos
+  end;
+  inst.ri_pos <- -1;
+  unindex_inst en inst
+
 (* --- rule resolution --- *)
 
 let resolve en inst b =
   if inst.ri_resolved = 0 then begin
     inst.ri_resolved <- (if b then 2 else 1);
-    if inst.ri_pos >= 0 then begin
-      let last = Vec.pop en.live in
-      if last != inst then begin
-        Vec.set en.live inst.ri_pos last;
-        last.ri_pos <- inst.ri_pos
-      end;
-      inst.ri_pos <- -1
-    end
+    if inst.ri_pos >= 0 then drop_live en inst;
+    (* wake-on-resolve: the waiting list is rescanned only after this *)
+    if inst.ri_parent.await_inst == inst then en.wake <- true
   end
 
 let clause_matches (c : Opcode.cclause) ~kind ~set ~label =
@@ -595,6 +749,7 @@ let clause_matches (c : Opcode.cclause) ~kind ~set ~label =
    out-of-range probes make the clause not match, any other evaluation
    error propagates (matching Interp.eval_cond_strict) *)
 let clause_holds en inst (c : Opcode.cclause) =
+  en.cond_evals <- en.cond_evals + 1;
   match eval en nil_task inst c.Opcode.c_cond with
   | () ->
       if en.st_tg.(0) <> tg_bool then bool_type_error en.st_tg.(0) en.st_i.(0) en.st_f.(0);
@@ -608,15 +763,80 @@ let apply_clause en inst (c : Opcode.cclause) =
         en.stats.Engine.clause_resolutions <- en.stats.Engine.clause_resolutions + 1;
         resolve en inst b
     | None ->
-        inst.ri_counter <- inst.ri_counter - 1;
-        if inst.ri_counter <= 0 then begin
+        let c = en.kx.counter.(inst.ri_id) - 1 in
+        en.kx.counter.(inst.ri_id) <- c;
+        if c <= 0 then begin
           en.stats.Engine.clause_resolutions <- en.stats.Engine.clause_resolutions + 1;
           resolve en inst true
         end
   end
 
-(* dispatch an event (kind 0 = activated, 1 = reached) to all live rule
-   instances; the event-field context must already be set *)
+(* run every clause of [inst] that listens to this event, in clause
+   order; [kind] 2 selects the min_changed clauses *)
+let fire_inst en inst ~kind ~set ~label ~(index : int array) ~source_tid =
+  if inst.ri_resolved = 0 && inst.ri_parent.tid <> source_tid then begin
+    let cmp = idx_cmp index inst.ri_parent.idx in
+    en.cx_earlier <- cmp < 0;
+    en.cx_later <- cmp > 0;
+    let cls = en.prog.Opcode.rules.(inst.ri_rule).Opcode.r_clauses in
+    for k = 0 to Array.length cls - 1 do
+      if
+        inst.ri_resolved = 0
+        && (if kind = 2 then cls.(k).Opcode.c_kind = 2 else clause_matches cls.(k) ~kind ~set ~label)
+      then apply_clause en inst cls.(k)
+    done
+  end
+
+let snap_live en =
+  Vec.clear en.snap;
+  for i = 0 to Vec.length en.live - 1 do
+    Vec.push en.snap (Vec.get en.live i)
+  done
+
+(* collect the instances on one chain whose node carries (slot, key),
+   each at most once per dispatch *)
+let rec collect_chain en kx s v n =
+  if n >= 0 then begin
+    if kx.slot.(n) = s && kx.key.(n) = v then begin
+      let id = n / kx.kw in
+      if kx.seen.(id) <> en.ev_seq then begin
+        kx.seen.(id) <- en.ev_seq;
+        Vec.push en.snap kx.by_id.(id)
+      end
+    end;
+    collect_chain en kx s v kx.nx.(n)
+  end
+
+(* Keyed snapshot: the instances whose key matches the event, plus the
+   residual list.  Exact when every event field is an int: a keyed
+   instance's conditions are total, so one that is not collected has
+   every listening clause false (or out of range) and cannot raise.
+   Within one event instances do not interact, and only residual ones
+   can raise, visited in residual order. *)
+let snap_keyed en ~kind ~set ~label =
+  let kx = en.kx in
+  Vec.clear en.snap;
+  en.ev_seq <- en.ev_seq + 1;
+  let cls =
+    if kind = 0 then set else en.prog.Opcode.n_sets + (set * kx.k_labels) + label
+  in
+  let probe = kx.k_probe.(cls) in
+  for i = 0 to Array.length probe - 1 do
+    let s = probe.(i) in
+    let f = kx.k_field.(s) in
+    if f >= 0 && f < en.ev_n then begin
+      let v = en.ev_i.(f) in
+      collect_chain en kx s v kx.heads.(kx_hash kx s v)
+    end
+  done;
+  for i = 0 to Vec.length en.residual - 1 do
+    Vec.push en.snap (Vec.get en.residual i)
+  done
+
+(* dispatch an event (kind 0 = activated, 1 = reached) to the live rule
+   instances it can affect; the event-field context must already be
+   set.  An event with a non-int field visits every live instance: a
+   float field can equal an int param, and a bool one can raise. *)
 let fire_event en ~kind ~set ~label ~(index : int array) ~source_tid =
   en.stats.Engine.events_fired <- en.stats.Engine.events_fired + 1;
   if en.prog.Opcode.has_counted then begin
@@ -633,42 +853,19 @@ let fire_event en ~kind ~set ~label ~(index : int array) ~source_tid =
         le_n = n;
       }
   end;
-  Vec.clear en.snap;
-  for i = 0 to Vec.length en.live - 1 do
-    Vec.push en.snap (Vec.get en.live i)
-  done;
+  if all_int en.ev_tg 0 en.ev_n then snap_keyed en ~kind ~set ~label else snap_live en;
   for i = 0 to Vec.length en.snap - 1 do
-    let inst = Vec.get en.snap i in
-    if inst.ri_resolved = 0 && inst.ri_parent.tid <> source_tid then begin
-      let cmp = idx_cmp index inst.ri_parent.idx in
-      en.cx_earlier <- cmp < 0;
-      en.cx_later <- cmp > 0;
-      let cls = en.prog.Opcode.rules.(inst.ri_rule).Opcode.r_clauses in
-      for k = 0 to Array.length cls - 1 do
-        if inst.ri_resolved = 0 && clause_matches cls.(k) ~kind ~set ~label then
-          apply_clause en inst cls.(k)
-      done
-    end
+    fire_inst en (Vec.get en.snap i) ~kind ~set ~label ~index ~source_tid
   done
 
 let fire_min_changed en ~(index : int array) ~source_tid =
   en.stats.Engine.events_fired <- en.stats.Engine.events_fired + 1;
-  Vec.clear en.snap;
-  for i = 0 to Vec.length en.live - 1 do
-    Vec.push en.snap (Vec.get en.live i)
-  done;
-  for i = 0 to Vec.length en.snap - 1 do
-    let inst = Vec.get en.snap i in
-    if inst.ri_resolved = 0 && inst.ri_parent.tid <> source_tid then begin
-      let cmp = idx_cmp index inst.ri_parent.idx in
-      en.cx_earlier <- cmp < 0;
-      en.cx_later <- cmp > 0;
-      let cls = en.prog.Opcode.rules.(inst.ri_rule).Opcode.r_clauses in
-      for k = 0 to Array.length cls - 1 do
-        if inst.ri_resolved = 0 && cls.(k).Opcode.c_kind = 2 then apply_clause en inst cls.(k)
-      done
-    end
-  done
+  if en.prog.Opcode.has_min_changed then begin
+    snap_live en;
+    for i = 0 to Vec.length en.snap - 1 do
+      fire_inst en (Vec.get en.snap i) ~kind:2 ~set:(-1) ~label:(-1) ~index ~source_tid
+    done
+  end
 
 (* --- counted-rule allocation: replay the event log --- *)
 
@@ -724,7 +921,7 @@ let alloc_rule en (tk : ctask) ~rule_id ~nargs =
   inst.ri_np <- nargs;
   inst.ri_resolved <- 0;
   inst.ri_pos <- -1;
-  inst.ri_counter <-
+  en.kx.counter.(inst.ri_id) <-
     (if r.Opcode.r_counted then begin
        let expected =
          match en.expected_fns.(rule_id) with
@@ -737,10 +934,11 @@ let alloc_rule en (tk : ctask) ~rule_id ~nargs =
      end
      else 0);
   en.stats.Engine.rule_allocs <- en.stats.Engine.rule_allocs + 1;
-  if r.Opcode.r_counted && inst.ri_counter <= 0 then inst.ri_resolved <- 2
+  if r.Opcode.r_counted && en.kx.counter.(inst.ri_id) <= 0 then inst.ri_resolved <- 2
   else begin
     inst.ri_pos <- Vec.length en.live;
-    Vec.push en.live inst
+    Vec.push en.live inst;
+    index_inst en inst
   end;
   Vec.push tk.insts inst;
   inst
@@ -831,6 +1029,8 @@ let vec_truncate v n =
   done
 
 let waiting_remove en tk =
+  en.wait_count.(tk.set) <- en.wait_count.(tk.set) - 1;
+  en.wait_dirty <- true;
   let n = Vec.length en.waiting in
   let j = ref 0 in
   for i = 0 to n - 1 do
@@ -845,14 +1045,7 @@ let waiting_remove en tk =
 let release_task_rules en tk =
   Vec.iter
     (fun inst ->
-      if inst.ri_pos >= 0 then begin
-        let last = Vec.pop en.live in
-        if last != inst then begin
-          Vec.set en.live inst.ri_pos last;
-          last.ri_pos <- inst.ri_pos
-        end;
-        inst.ri_pos <- -1
-      end;
+      if inst.ri_pos >= 0 then drop_live en inst;
       inst.ri_parent <- nil_task;
       Vec.push en.free_insts inst)
     tk.insts;
@@ -1074,6 +1267,8 @@ let step en (tk : ctask) ~now =
             tk.await_inst <- inst;
             en.running <- en.running - 1;
             Vec.push en.waiting tk;
+            en.wait_count.(tk.set) <- en.wait_count.(tk.set) + 1;
+            en.wait_dirty <- true;
             rc_blocked
           end
         end
@@ -1162,34 +1357,41 @@ let resolve_pending en =
     en.ev_n <- mu0.n_pay;
     fire_min_changed en ~index:mu0.idx ~source_tid:mu0.tid
   end;
-  (* 2. fire otherwise clauses for minimal waiting parents *)
+  (* 2. fire otherwise clauses for minimal waiting parents.  With the
+     same waiting list and the same minimum as the last scan, that scan
+     already resolved every minimal parent, so this one would fire
+     nothing. *)
   let mu = min_uncommitted en in
-  let mw = ref nil_task in
-  for i = 0 to Vec.length en.waiting - 1 do
-    let w = Vec.get en.waiting i in
-    if !mw == nil_task || idx_cmp w.idx !mw.idx < 0 then mw := w
-  done;
-  for i = 0 to Vec.length en.waiting - 1 do
-    let w = Vec.get en.waiting i in
-    let inst = w.await_inst in
-    if inst != nil_inst && inst.ri_resolved = 0 then begin
-      let rule = en.prog.Opcode.rules.(inst.ri_rule) in
-      let minimal =
-        if rule.Opcode.r_min_waiting then !mw == nil_task || idx_cmp w.idx !mw.idx = 0
-        else mu == nil_task || idx_cmp w.idx mu.idx = 0
-      in
-      if minimal then begin
-        en.stats.Engine.otherwise_fired <- en.stats.Engine.otherwise_fired + 1;
-        resolve en inst rule.Opcode.r_otherwise
+  if en.wait_dirty || mu.tid <> en.scan_mu then begin
+    en.wait_dirty <- false;
+    en.scan_mu <- mu.tid;
+    let mw = ref nil_task in
+    if en.prog.Opcode.has_min_waiting then
+      for i = 0 to Vec.length en.waiting - 1 do
+        let w = Vec.get en.waiting i in
+        if !mw == nil_task || idx_cmp w.idx !mw.idx < 0 then mw := w
+      done;
+    for i = 0 to Vec.length en.waiting - 1 do
+      let w = Vec.get en.waiting i in
+      let inst = w.await_inst in
+      if inst != nil_inst && inst.ri_resolved = 0 then begin
+        let rule = en.prog.Opcode.rules.(inst.ri_rule) in
+        let minimal =
+          if rule.Opcode.r_min_waiting then !mw == nil_task || idx_cmp w.idx !mw.idx = 0
+          else mu == nil_task || idx_cmp w.idx mu.idx = 0
+        in
+        if minimal then begin
+          en.stats.Engine.otherwise_fired <- en.stats.Engine.otherwise_fired + 1;
+          resolve en inst rule.Opcode.r_otherwise
+        end
       end
-    end
-  done
+    done
+  end
 
 (* wake every waiting task whose rule resolved, in ascending index
-   order (stable w.r.t. the newest-first waiting order); the
-   woken tasks are left in [en.resumed] *)
-let resume_ready en =
-  Vec.clear en.resumed;
+   order (stable w.r.t. the newest-first waiting order); the woken
+   tasks are left in [en.resumed] *)
+let wake_resolved en =
   let n = Vec.length en.waiting in
   for i = n - 1 downto 0 do
     let w = Vec.get en.waiting i in
@@ -1229,8 +1431,19 @@ let resume_ready en =
     w.await_inst <- nil_inst;
     w.await_dst <- -1;
     w.status <- s_running;
+    en.wait_count.(w.set) <- en.wait_count.(w.set) - 1;
+    en.wait_dirty <- true;
     en.running <- en.running + 1
   done
+
+(* A parked task wakes only when its awaited instance resolves, so the
+   waiting list is scanned only after [resolve] flagged such a hit. *)
+let resume_ready en =
+  Vec.clear en.resumed;
+  if en.wake then begin
+    en.wake <- false;
+    wake_resolved en
+  end
 
 let deadlocked en =
   en.running = 0
@@ -1248,6 +1461,73 @@ let deadlocked en =
      end
 
 (* --- construction --- *)
+
+(* an empty vec with room for [n]: sized past the minor-heap limit, it
+   grows outside the cycle loop's allocation count *)
+let presized_vec n =
+  let v = Vec.make n nil_inst in
+  Vec.clear v;
+  v
+
+(* number the key slots and, per event class (activated set s = s;
+   reached (s, l) = n_sets + s * n_labels + l), list the slots to probe *)
+let kindex_create (prog : Opcode.program) ~lanes =
+  let n_sets = prog.Opcode.n_sets and n_labels = Array.length prog.Opcode.labels in
+  let n_slots = ref 0 in
+  let fields = ref [] and params = ref [] in
+  let probe = Array.make (n_sets + (n_sets * n_labels)) [] in
+  let slots =
+    Array.map
+      (fun (r : Opcode.crule) ->
+        let mine = ref [] in
+        if r.Opcode.r_keyed then
+          Array.iter
+            (fun (c : Opcode.cclause) ->
+              if c.Opcode.c_kind <> 2 then begin
+                let cls =
+                  if c.Opcode.c_kind = 0 then c.Opcode.c_set
+                  else n_sets + (c.Opcode.c_set * n_labels) + c.Opcode.c_label
+                in
+                Array.iter
+                  (fun (f, p) ->
+                    let s = !n_slots in
+                    incr n_slots;
+                    fields := f :: !fields;
+                    params := p :: !params;
+                    probe.(cls) <- s :: probe.(cls);
+                    mine := s :: !mine)
+                  c.Opcode.c_keys
+              end)
+            r.Opcode.r_clauses;
+        Array.of_list (List.rev !mine))
+      prog.Opcode.rules
+  in
+  let kw = Array.fold_left (fun m a -> imax m (Array.length a)) 1 slots in
+  (* sized for a full set of rule lanes up front: these arrays are
+     past the minor-heap size limit, so neither they nor a later
+     doubling count as cycle-loop allocation *)
+  let heads = ref 64 in
+  while !heads < 2 * lanes * kw do
+    heads := 2 * !heads
+  done;
+  {
+    k_slots = slots;
+    k_field = Array.of_list (List.rev !fields);
+    k_param = Array.of_list (List.rev !params);
+    k_probe = Array.map (fun l -> Array.of_list (List.rev l)) probe;
+    k_labels = n_labels;
+    kw;
+    heads = Array.make !heads (-1);
+    linked = 0;
+    nx = [||];
+    pv = [||];
+    slot = [||];
+    key = [||];
+    by_id = [||];
+    rpos = [||];
+    seen = [||];
+    counter = [||];
+  }
 
 let create ~cfg ~sink spec bindings st =
   begin
@@ -1277,6 +1557,8 @@ let create ~cfg ~sink spec bindings st =
   let em_i = Array.make prog.Opcode.max_event_fields 0 in
   let em_f = Array.make prog.Opcode.max_event_fields 0.0 in
   let em_tg = Array.make prog.Opcode.max_event_fields tg_int in
+  let kx = kindex_create prog ~lanes:cfg.Config.rule_lanes in
+  kx_grow kx (2 * cfg.Config.rule_lanes);
   {
     prog;
     st;
@@ -1306,7 +1588,10 @@ let create ~cfg ~sink spec bindings st =
     h_tid = Array.make 8 0;
     h_len = 0;
     live = Vec.create ();
-    snap = Vec.create ();
+    residual = presized_vec (2 * cfg.Config.rule_lanes);
+    kx;
+    ev_seq = 0;
+    snap = presized_vec (2 * cfg.Config.rule_lanes);
     free_tasks = Vec.create ();
     free_insts = Vec.create ();
     last_min_broadcast = -1;
@@ -1344,6 +1629,12 @@ let create ~cfg ~sink spec bindings st =
     ar_f = Array.make ar_cap 0.0;
     ar_tg = Array.make ar_cap tg_int;
     resumed = Vec.create ();
+    n_insts = 0;
+    wake = false;
+    wait_count = Array.make (max prog.Opcode.n_sets 1) 0;
+    wait_dirty = false;
+    scan_mu = -2;
+    cond_evals = 0;
     step_lat = 1;
   }
 
@@ -1355,6 +1646,7 @@ type result = {
   r_peak_in_flight : int;
   r_total_stage_ops : int;
   r_minor_words : float;  (** minor-heap words allocated inside the cycle loop *)
+  r_cond_evals : int;  (** rule-clause conditions evaluated *)
   r_stats : Engine.stats;
   r_attr : Attribution.t;
   r_mem : Memory.t;
@@ -1382,6 +1674,9 @@ let b_queue = 3
 let b_squash = 4
 
 let b_idle = 5
+
+(* a run that needs more loop iterations than this is taken to diverge *)
+let cycle_budget = 50_000_000
 
 let run ?timeline ~cfg ~sink ~spec ~bindings ~state ~initial () =
   let graph = Bdfg.of_spec spec in
@@ -1429,7 +1724,6 @@ let run ?timeline ~cfg ~sink ~spec ~bindings ~state ~initial () =
   let charge set b n = matrix.((set * 6) + b) <- matrix.((set * 6) + b) + n in
   let sq_set = Vec.create () and sq_ops = Vec.create () in
   let pops_left = Array.make (max n_sets 1) 0 in
-  let waiting_sets = Array.make (max n_sets 1) false in
   let scratch = Vec.create () in
   let cycle = ref 0 in
   let active_op_cycles = ref 0 in
@@ -1479,11 +1773,10 @@ let run ?timeline ~cfg ~sink ~spec ~bindings ~state ~initial () =
      allocate every iteration *)
   let any_finish = ref false in
   let next_ready = ref max_int in
-  let in_window = ref false in
   let minor_start = Gc.minor_words () in
   while uncommitted_remaining en do
     incr guard;
-    if !guard > 50_000_000 then failwith "Accelerator.run: cycle budget exceeded";
+    if !guard > cycle_budget then raise (Semantics.Step_limit_exceeded cycle_budget);
     let now = !cycle in
     (* 1. issue: each pipeline may accept one task per cycle, capped by
        queue bank bandwidth per set *)
@@ -1509,35 +1802,26 @@ let run ?timeline ~cfg ~sink ~spec ~bindings ~state ~initial () =
       end
     done;
     (* priority admission: the globally minimum task must always reach
-       the rule engines, even through a full window *)
+       the rule engines, even through a full window.  A pending task
+       sits in its ring, never in a window, so it is popped directly. *)
     begin
       let head = min_pending_head en in
       let mu = min_uncommitted en in
       if head != nil_task && mu != nil_task && idx_cmp head.idx mu.idx = 0 then begin
-        in_window := false;
-        for pi = 0 to n_pipes - 1 do
-          let p = pipes.(pi) in
-          for i = 0 to p.cp_n - 1 do
-            if p.cp_win.(i).tid = head.tid then in_window := true
-          done
-        done;
-        if not !in_window then begin
-          let tk = pop_from head.set in
-          if tk != nil_task then begin
-            let p = pipes.(first_pipe.(tk.set)) in
-            if instrumented then
-              Sink.emit sink ~ts:now
-                (Event.Task_dispatch { set = p.cp_set_name; pipe = p.cp_id; tid = tk.tid });
-            tk.fr_ready <- now;
-            tk.fr_ops <- 0;
-            pipe_prepend p tk
-          end
-        end
+        let tk = pop_from head.set in
+        let p = pipes.(first_pipe.(tk.set)) in
+        if instrumented then
+          Sink.emit sink ~ts:now
+            (Event.Task_dispatch { set = p.cp_set_name; pipe = p.cp_id; tid = tk.tid });
+        tk.fr_ready <- now;
+        tk.fr_ops <- 0;
+        pipe_prepend p tk
       end
     end;
     peak_in_flight := imax !peak_in_flight (in_flight_count ());
     (* 2. execute one op for every ready in-flight task *)
     any_finish := false;
+    next_ready := max_int;
     for pi = 0 to n_pipes - 1 do
       let p = pipes.(pi) in
       Vec.clear scratch;
@@ -1599,7 +1883,9 @@ let run ?timeline ~cfg ~sink ~spec ~bindings ~state ~initial () =
          their reverse *)
       let ns = Vec.length scratch in
       for i = 0 to ns - 1 do
-        p.cp_win.(i) <- Vec.get scratch (ns - 1 - i)
+        let f = Vec.get scratch (ns - 1 - i) in
+        p.cp_win.(i) <- f;
+        if f.fr_ready < !next_ready then next_ready := f.fr_ready
       done;
       for i = ns to old_n - 1 do
         p.cp_win.(i) <- nil_task
@@ -1612,14 +1898,9 @@ let run ?timeline ~cfg ~sink ~spec ~bindings ~state ~initial () =
     let n_resumed = Vec.length en.resumed in
     place_resumed ~now;
     (* 4. advance time: fast-forward to the next ready timestamp when
-       everything in flight is waiting out latency (the event wheel) *)
-    next_ready := max_int;
-    for pi = 0 to n_pipes - 1 do
-      let p = pipes.(pi) in
-      for i = 0 to p.cp_n - 1 do
-        if p.cp_win.(i).fr_ready < !next_ready then next_ready := p.cp_win.(i).fr_ready
-      done
-    done;
+       everything in flight is waiting out latency (the event wheel).
+       [next_ready] covers the step survivors; resumed frames are ready
+       next cycle, which the [n_resumed] test below already takes. *)
     (* manual loop: [Array.exists] allocates a closure per call *)
     let have_room = ref false in
     for pi = 0 to n_pipes - 1 do
@@ -1634,24 +1915,20 @@ let run ?timeline ~cfg ~sink ~spec ~bindings ~state ~initial () =
     (* stall attribution: charge each pipeline exactly (next - now)
        cycles so the buckets decompose cycles x pipelines *)
     let dt = next - now in
-    Array.fill waiting_sets 0 (Array.length waiting_sets) false;
-    for i = 0 to Vec.length en.waiting - 1 do
-      waiting_sets.((Vec.get en.waiting i).set) <- true
-    done;
     let pending_now = pending_count en in
     for pi = 0 to n_pipes - 1 do
       let p = pipes.(pi) in
       let cls =
         if p.cp_stepped then b_busy
         else if p.cp_n > 0 then b_mem
-        else if waiting_sets.(p.cp_set) then b_rdv
+        else if en.wait_count.(p.cp_set) > 0 then b_rdv
         else if pending_now > 0 && pops_left.(p.cp_set) = 0 then b_queue
         else b_idle
       in
       charge p.cp_set cls 1;
       if dt > 1 then begin
         let wait_cls =
-          if p.cp_n > 0 then b_mem else if waiting_sets.(p.cp_set) then b_rdv else b_idle
+          if p.cp_n > 0 then b_mem else if en.wait_count.(p.cp_set) > 0 then b_rdv else b_idle
         in
         charge p.cp_set wait_cls (dt - 1)
       end;
@@ -1677,7 +1954,8 @@ let run ?timeline ~cfg ~sink ~spec ~bindings ~state ~initial () =
       resolve_pending en;
       resume_ready en;
       if Vec.length en.resumed = 0 then begin
-        if deadlocked en then failwith "Accelerator.run: deadlock in rule resolution"
+        if deadlocked en then
+          raise (Semantics.Deadlock "Accelerator.run: deadlock in rule resolution")
       end
       else place_resumed ~now
     end;
@@ -1734,6 +2012,7 @@ let run ?timeline ~cfg ~sink ~spec ~bindings ~state ~initial () =
     r_peak_in_flight = !peak_in_flight;
     r_total_stage_ops = total_stage_ops;
     r_minor_words = minor_words;
+    r_cond_evals = en.cond_evals;
     r_stats = en.stats;
     r_attr = attr;
     r_mem = en.mem;

@@ -20,6 +20,9 @@ type result = {
   r_peak_in_flight : int;
   r_total_stage_ops : int;
   r_minor_words : float;  (** minor-heap words allocated inside the cycle loop *)
+  r_cond_evals : int;
+      (** rule-clause conditions evaluated, counted apart from the
+          pinned engine statistics *)
   r_stats : Agp_core.Engine.stats;
   r_attr : Agp_obs.Attribution.t;
   r_mem : Memory.t;
@@ -38,4 +41,7 @@ val run :
 (** Simulate to quiescence, mutating [state] exactly as {!Accelerator}
     (and the software runtimes) would.  The wrapper in {!Accelerator}
     turns the result into a full [report].
-    @raise Failure on deadlock or divergence. *)
+    @raise Agp_core.Semantics.Deadlock when every remaining task is
+    parked on a rendezvous no event or otherwise clause can resolve.
+    @raise Agp_core.Semantics.Step_limit_exceeded past the cycle-loop
+    budget. *)

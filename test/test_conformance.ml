@@ -650,6 +650,129 @@ let test_conformance_classifies_liveness () =
   | Error f -> Alcotest.failf "expected Liveness, got %s" (Conformance.failure_to_string f)
   | Ok () -> Alcotest.fail "starved backend cannot conform"
 
+(* A hand-written spec as a runnable app: a one-cell int array "out"
+   and the given initial tasks; the check is vacuous, callers compare
+   final states themselves. *)
+let hand_app ~initial (spec : Spec.t) : App_instance.t =
+  {
+    App_instance.app_name = spec.Spec.spec_name;
+    spec;
+    fresh =
+      (fun () ->
+        let state = State.create () in
+        State.add_int_array state "out" [| 0 |];
+        { App_instance.state; bindings = Spec.no_bindings; initial; check = (fun () -> Ok ()) });
+    kernel_flops = [];
+    fpga_ilp = 8;
+    sw_task_overhead = 40;
+    cpu_flops_per_cycle = 4.0;
+    fpga_mlp = 4;
+    graph_source = None;
+  }
+
+let test_simulator_deadlock_typed () =
+  let cyclic = hand_app ~initial:(deadlock_initial 2) deadlock_spec in
+  let sim = Backend.simulator () in
+  (match Backend.run sim cyclic with
+  | exception Semantics.Deadlock _ -> ()
+  | exception e -> Alcotest.failf "expected Deadlock, got %s" (Printexc.to_string e)
+  | _ -> Alcotest.fail "a rendezvous cycle cannot quiesce on the simulator");
+  (* The oracle cannot run the cycle either, so the conformance cell
+     pairs a conforming app's oracle with a simulator run of the cycle
+     (the shape of the starved-backend test above). *)
+  let app = Workloads.spec_bfs Workloads.Small ~seed:7 in
+  let stuck = { sim with Backend.exec = (fun ~obs _ -> sim.Backend.exec ~obs cyclic) } in
+  match Conformance.check stuck app with
+  | Error (Conformance.Liveness _) -> ()
+  | Error f -> Alcotest.failf "expected Liveness, got %s" (Conformance.failure_to_string f)
+  | Ok () -> Alcotest.fail "a deadlocked simulator cannot conform"
+
+(* --- keyed rule dispatch falls back to the full scan on non-int events.
+   The waiter W (set t, index 1) allocates a rule keyed on
+   [Earlier && F0 = P0] with the int param 5, activates a child in set
+   u carrying [field], and parks.  The emitter E (index 0) first waits
+   out a cache miss, then activates its own u child with [field]: an
+   activation earlier than W, so a matching field resolves W's rule
+   false and W retries; on its next attempt W is minimal and the
+   otherwise path stores 1.  The oracle runs E to completion before W
+   starts, so it never sees the earlier activation, but it evaluates
+   W's own child's activation against the live rule, which raises on a
+   bool field just as the simulator must. --- *)
+
+let keyed_fallback_spec (field : Value.t) : Spec.t =
+  let open Spec in
+  let child = Push ("u", [ Const field ]) in
+  {
+    spec_name = "keyed-fallback";
+    task_sets =
+      [
+        {
+          ts_name = "t";
+          ts_order = For_each;
+          arity = 1;
+          body =
+            [
+              If
+                ( Binop (Eq, Param 0, int 0),
+                  [ Load ("x", "out", int 0); child ],
+                  [
+                    Alloc ("h", "key", [ int 5 ]);
+                    child;
+                    Await ("v", "h");
+                    If (Var "v", [ Store ("out", int 0, int 1) ], [ Retry ]);
+                  ] );
+            ];
+        };
+        { ts_name = "u"; ts_order = For_each; arity = 1; body = [] };
+      ];
+    rules =
+      [
+        {
+          rule_name = "key";
+          n_params = 1;
+          clauses =
+            [
+              {
+                on = On_activated "u";
+                condition = CBinop (And, CEarlier, CBinop (Eq, CField 0, CParam 0));
+                action = Return_bool false;
+              };
+            ];
+          otherwise = true;
+          scope = Min_uncommitted;
+          counted = false;
+        };
+      ];
+  }
+
+(* final out cell and retry count, or the error string *)
+let run_keyed_fallback (b : Backend.t) field =
+  let app =
+    hand_app ~initial:[ ("t", [ Value.Int 0 ]); ("t", [ Value.Int 1 ]) ] (keyed_fallback_spec field)
+  in
+  match Backend.run b app with
+  | { Backend.final = Some r; engine_stats = Some es; _ } ->
+      Ok ((State.int_array r.App_instance.state "out").(0), es.Agp_core.Engine.retried)
+  | _ -> Error "no final state"
+  | exception e -> Error (Printexc.to_string e)
+
+let test_keyed_fallback_exact () =
+  let outcome = Alcotest.(result (pair int int) string) in
+  let seq field = run_keyed_fallback Backend.sequential field in
+  let sim field = run_keyed_fallback (Backend.simulator ()) field in
+  (* 5 = 5.0 under numeric promotion: the float activation must reach
+     the keyed instance and squash W once; the int one takes the keyed
+     path to the same place *)
+  List.iter
+    (fun (name, field) ->
+      check outcome ("sequential, " ^ name ^ " field") (Ok (1, 0)) (seq field);
+      check outcome ("simulator, " ^ name ^ " field") (Ok (1, 1)) (sim field))
+    [ ("float", Value.Float 5.0); ("int", Value.Int 5) ];
+  (* a bool field against an int param is a comparison type error *)
+  let raised = Error (Printexc.to_string (Invalid_argument "Interp: bad operands for comparison")) in
+  check outcome "sequential raises on bool vs int" raised (seq (Value.Bool true));
+  check outcome "simulator raises the same error" raised (sim (Value.Bool true))
+
 (* --- check_both double fault (satellite: no first-failure short-circuit) --- *)
 
 let test_check_both_reports_both_modes () =
@@ -736,6 +859,10 @@ let () =
       ( "exceptions",
         [
           Alcotest.test_case "step limit is typed" `Quick test_step_limit_typed;
+          Alcotest.test_case "simulator deadlock is typed Liveness" `Quick
+            test_simulator_deadlock_typed;
+          Alcotest.test_case "keyed dispatch falls back on non-int events" `Quick
+            test_keyed_fallback_exact;
           Alcotest.test_case "check_both reports both modes" `Quick
             test_check_both_reports_both_modes;
         ] );

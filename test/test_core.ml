@@ -94,6 +94,114 @@ let test_interp_overlap () =
   check Alcotest.bool "overlap miss" false (go [ 0; 3; 4 ] [ 9; 5; 7 ]);
   check Alcotest.bool "empty tails" false (go [ 0 ] [ 9 ])
 
+(* --- rule-condition keys (Opcode.cond_keys / cond_total) --- *)
+
+let cond_atom =
+  QCheck.Gen.(
+    oneof
+      [ map (fun i -> Spec.CField i) (int_range 0 2); map (fun i -> Spec.CParam i) (int_range 0 2) ])
+
+let cmp_op = QCheck.Gen.oneofl Spec.[ Eq; Eq; Eq; Ne; Lt; Le; Gt; Ge ]
+
+(* conditions built only from total shapes *)
+let total_cond_gen =
+  QCheck.Gen.(
+    sized
+    @@ fix (fun self n ->
+           let leaf =
+             frequency
+               [
+                 ( 4,
+                   map3
+                     (fun f p flip ->
+                       let f = Spec.CField f and p = Spec.CParam p in
+                       if flip then Spec.CBinop (Spec.Eq, p, f) else Spec.CBinop (Spec.Eq, f, p))
+                     (int_range 0 2) (int_range 0 2) bool );
+                 (3, map3 (fun op a b -> Spec.CBinop (op, a, b)) cmp_op cond_atom cond_atom);
+                 (1, map (fun b -> Spec.CConst b) bool);
+                 (1, oneofl [ Spec.CEarlier; Spec.CLater ]);
+                 (1, map2 (fun p f -> Spec.COverlap (p, f)) (int_range 0 2) (int_range 0 2));
+               ]
+           in
+           if n <= 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 ( 3,
+                   map3
+                     (fun op a b -> Spec.CBinop (op, a, b))
+                     (oneofl Spec.[ And; Or ])
+                     (self (n / 2))
+                     (self (n / 2)) );
+                 (1, map (fun c -> Spec.CNot c) (self (n - 1)));
+               ]))
+
+let int_vec = QCheck.Gen.(array_size (return 3) (int_range 0 2))
+
+let prop_keys_sound =
+  QCheck.Test.make ~name:"a true total condition satisfies one of its keys" ~count:1000
+    (QCheck.make QCheck.Gen.(pair total_cond_gen (quad int_vec int_vec bool bool)))
+    (fun (c, (params, fields, earlier, later)) ->
+      let vals a = Array.map (fun n -> Value.Int n) a in
+      let holds =
+        Interp.eval_cond_strict ~params:(vals params) ~fields:(vals fields) ~earlier ~later c
+      in
+      Opcode.cond_total c
+      &&
+      match Opcode.cond_keys c with
+      | None -> true
+      | Some keys ->
+          keys <> []
+          && ((not holds) || List.exists (fun (f, p) -> fields.(f) = params.(p)) keys))
+
+let prop_non_total_shapes =
+  QCheck.Test.make ~name:"arithmetic, bare values and constant comparands are never total"
+    ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         triple total_cond_gen
+           (oneof
+              [
+                cond_atom;
+                map2
+                  (fun a b -> Spec.CBinop (Spec.Eq, Spec.CBinop (Spec.Add, a, b), a))
+                  cond_atom cond_atom;
+                map2 (fun a b -> Spec.CBinop (Spec.Lt, a, Spec.CConst b)) cond_atom bool;
+                map2 (fun b a -> Spec.CBinop (Spec.Eq, Spec.CConst b, a)) bool cond_atom;
+              ])
+           (int_range 0 3)))
+    (fun (c, bad, where) ->
+      let wrapped =
+        match where with
+        | 0 -> Spec.CBinop (Spec.And, c, bad)
+        | 1 -> Spec.CBinop (Spec.Or, bad, c)
+        | 2 -> Spec.CNot bad
+        | _ -> Spec.CBinop (Spec.And, Spec.CNot bad, c)
+      in
+      Opcode.cond_total c && not (Opcode.cond_total wrapped))
+
+let test_cond_keys_of_apps () =
+  let keys c = Opcode.cond_keys c in
+  let ks = Alcotest.(option (list (pair int int))) in
+  let open Spec in
+  check ks "bfs: earlier && f0 = p0" (Some [ (0, 0) ])
+    (keys (CBinop (And, CEarlier, CBinop (Eq, CField 0, CParam 0))));
+  check ks "sssp: first keyed side of And" (Some [ (0, 0) ])
+    (keys (CBinop (And, CBinop (Eq, CField 0, CParam 0), CBinop (Le, CField 1, CParam 1))));
+  check ks "mst: union over Or"
+    (Some [ (0, 0); (0, 1); (1, 0); (1, 1) ])
+    (keys
+       (CBinop
+          ( Or,
+            CBinop (Or, CBinop (Eq, CField 0, CParam 0), CBinop (Eq, CField 0, CParam 1)),
+            CBinop (Or, CBinop (Eq, CParam 0, CField 1), CBinop (Eq, CField 1, CParam 1)) )));
+  check ks "Or with an unkeyed side" None
+    (keys (CBinop (Or, CBinop (Eq, CField 0, CParam 0), CEarlier)));
+  check ks "min_changed level test" None (keys (CBinop (Ge, CField 1, CParam 0)));
+  check Alcotest.bool "constant comparand is not total" false
+    (Opcode.cond_total (CBinop (Eq, CParam 0, CConst true)))
+
 (* --- State --- *)
 
 let test_state_rw () =
@@ -714,6 +822,12 @@ let () =
           Alcotest.test_case "expressions" `Quick test_interp_expr;
           Alcotest.test_case "conditions" `Quick test_interp_cond;
           Alcotest.test_case "overlap" `Quick test_interp_overlap;
+        ] );
+      ( "cond_keys",
+        [
+          Alcotest.test_case "app rule shapes" `Quick test_cond_keys_of_apps;
+          qtest prop_keys_sound;
+          qtest prop_non_total_shapes;
         ] );
       ( "state",
         [

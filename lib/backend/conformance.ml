@@ -30,6 +30,9 @@ let check ?(state_equiv = false) (b : Backend.t) (app : App_instance.t) =
   (* The oracle runs first, on its own fresh instance; its verdict
      anchors the comparison. *)
   match App_instance.run_sequential app with
+  | exception Runtime.Deadlock msg -> Error (Liveness ("oracle: " ^ msg))
+  | exception Runtime.Step_limit_exceeded n ->
+      Error (Liveness (Printf.sprintf "oracle: task budget %d exceeded" n))
   | exception e -> Error (Oracle_failed (Printexc.to_string e))
   | _, oracle -> begin
       match oracle.App_instance.check () with

@@ -22,7 +22,10 @@ type failure =
   | State_mismatch of string list
       (** substrate checks passed but the final state differs from the
           oracle's (only tested when [state_equiv] is requested) *)
-  | Liveness of string  (** typed deadlock / step-limit from the runtime *)
+  | Liveness of string
+      (** typed deadlock / step-limit from the backend, or from the
+          oracle (prefixed ["oracle: "]) when the spec itself cannot
+          quiesce *)
   | Crash of string  (** any other exception *)
 
 val failure_to_string : failure -> string

@@ -1,23 +1,22 @@
 (* The single binary-operator semantics table, shared by every
    evaluator in the repo.
 
-   Both the tree-walking interpreter ({!Interp.eval_binop}) and the
-   compiled cycle engine's postfix bytecode evaluator
-   (Agp_hw.Engine_compiled) execute binops through {!exec}, so the
-   numeric-promotion rules, the comparison total order, the
-   short-circuit boolean connectives and every error string are defined
-   exactly once.  Conformance between the substrates is therefore
-   structural, not a property the differential harness has to re-check
-   per operator.
+   The stepper's postfix evaluator ({!Engine}) and the reference
+   evaluator ({!Interp.eval_binop}) both execute binops through
+   {!exec}, so the numeric-promotion rules, the comparison total order,
+   the short-circuit boolean connectives and every error string are
+   defined exactly once.  The property tests that compare the two
+   evaluators therefore check everything around the table (postfix
+   compilation, stack and register handling, coercions on store), not
+   the table itself.
 
-   The representation is the compiled engine's: a value is a (tag,
-   int-slot, float-slot) triple spread across three parallel scratch
-   arrays.  This keeps the hot path allocation-free — the arrays are
-   passed by reference and floats never cross a function boundary as
-   arguments (OCaml boxes float arguments of non-inlined calls), which
-   is what the compiled engine's minor-words-per-cycle gate measures.
-   The tree-walker pays a tiny per-call scratch to adapt [Value.t]s;
-   that path was never allocation-sensitive. *)
+   The representation is the stepper's: a value is a (tag, int-slot,
+   float-slot) triple spread across three parallel scratch arrays.
+   This keeps the hot path allocation-free — the arrays are passed by
+   reference and floats never cross a function boundary as arguments
+   (OCaml boxes float arguments of non-inlined calls), which is what the
+   simulator's minor-words-per-cycle gate measures.  The reference
+   evaluator pays a tiny per-call scratch to adapt [Value.t]s. *)
 
 (* value tags on the scratch stacks / frames *)
 let tg_int = 0
@@ -49,7 +48,7 @@ let icompare (x : int) y = if x < y then -1 else if x > y then 1 else 0
 (* binop over slots [a] (result) and [b] of the scratch arrays;
    promotion rules and error strings are the semantics of §4's
    expression language.  Written as one flat match — no local closures,
-   so compiled-engine clause and expression evaluation allocates
+   so the stepper's clause and expression evaluation allocates
    nothing here. *)
 let exec (st_i : int array) (st_f : float array) (st_tg : int array) (op : Spec.binop) a b =
   let ti = st_tg.(a) and tj = st_tg.(b) in

@@ -1,12 +1,12 @@
 (** The single binary-operator semantics table.
 
-    Every evaluator — the tree-walking {!Interp}, and the compiled
-    cycle engine's postfix bytecode — executes {!Spec.binop}s through
+    Both evaluators — the stepper's postfix bytecode ({!Engine}) and
+    the reference evaluator {!Interp} — execute {!Spec.binop}s through
     {!exec}, so numeric promotion, the comparison total order, the
     short-circuit boolean connectives and every error string are
-    defined exactly once and cannot drift between substrates.
+    defined exactly once.
 
-    Values are represented as the compiled engine represents them: a
+    Values are represented as the stepper represents them: a
     tag ({!tg_int} / {!tg_float} / {!tg_bool}) plus an int slot and a
     float slot in parallel scratch arrays, which keeps {!exec}
     allocation-free (floats never cross a call boundary as arguments,
@@ -17,8 +17,8 @@ val tg_float : int
 val tg_bool : int
 
 val tg_unbound : int
-(** Not a value tag: marks an unwritten register/frame slot in the
-    compiled engine.  {!exec} never sees it. *)
+(** Not a value tag: marks an unwritten register of a stepper
+    frame.  {!exec} never sees it. *)
 
 val exec : int array -> float array -> int array -> Spec.binop -> int -> int -> unit
 (** [exec st_i st_f st_tg op a b] combines slot [a] and slot [b] of the

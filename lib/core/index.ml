@@ -1,7 +1,5 @@
 type t = int array
 
-let root s = Array.make (max s 1) 0
-
 let of_array a = Array.copy a
 
 let to_array t = Array.copy t

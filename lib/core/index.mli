@@ -10,10 +10,6 @@
 
 type t
 
-val root : int -> t
-(** [root s] is the all-zero index of width [s] (used for host-injected
-    initial tasks before any counter ticks). *)
-
 val of_array : int array -> t
 
 val to_array : t -> int array

@@ -2,11 +2,11 @@ type env = (string, Value.t) Hashtbl.t
 
 let arith_error = Binop.arith_error
 
-(* One semantics for every evaluator: the tree-walker adapts boxed
-   [Value.t]s into {!Binop}'s tagged-slot representation and delegates.
-   The per-call scratch is three 2-element arrays — this path was never
-   allocation-sensitive (the compiled engine calls {!Binop.exec} on its
-   own preallocated stacks). *)
+(* One binop table for every evaluator: the reference evaluator adapts
+   boxed [Value.t]s into {!Binop}'s tagged-slot representation and
+   delegates.  The per-call scratch is three 2-element arrays — this
+   path is not allocation-sensitive (the stepper calls {!Binop.exec} on
+   its own preallocated stacks). *)
 let eval_binop (op : Spec.binop) (a : Value.t) (b : Value.t) : Value.t =
   let st_i = Array.make 2 0 in
   let st_f = Array.make 2 0.0 in
@@ -43,7 +43,7 @@ let rec eval_expr env payload (e : Spec.expr) : Value.t =
       | None -> invalid_arg ("Interp: unbound variable " ^ name)
     end
   | Binop (op, a, b) ->
-      (* left operand first, matching the compiled engine's postfix
+      (* left operand first, matching the stepper's postfix
          order — observable when both operands raise *)
       let va = eval_expr env payload a in
       let vb = eval_expr env payload b in
@@ -100,6 +100,3 @@ let eval_cond_strict ~params ~fields ~earlier ~later c =
   match eval_cond_value ~params ~fields (subst c) with
   | v -> Value.to_bool v
   | exception Out_of_range -> false
-
-let eval_cond ~params ~fields ~event_earlier c =
-  eval_cond_strict ~params ~fields ~earlier:event_earlier ~later:false c

@@ -1,6 +1,10 @@
-(** Expression and condition evaluation shared by every interpreter of
-    a specification (sequential oracle, software runtime, hardware
-    model). *)
+(** The reference evaluator of expressions and rule conditions over
+    boxed {!Value.t}s, written as a direct tree walk of the §4 syntax.
+
+    No executor uses it: {!Engine} evaluates compiled postfix code over
+    tagged scratch stacks.  The property tests compare the two, so this
+    module states the expression semantics independently of the
+    compiler and the stepper (it shares only the {!Binop} table). *)
 
 type env = (string, Value.t) Hashtbl.t
 (** Per-task local bindings. *)
@@ -15,19 +19,6 @@ val eval_expr : env -> Value.t array -> Spec.expr -> Value.t
     reads the environment.  @raise Invalid_argument on unbound
     variables. *)
 
-val eval_cond :
-  params:Value.t array ->
-  fields:Value.t array ->
-  event_earlier:bool ->
-  Spec.cond ->
-  bool
-(** Evaluate a rule condition against a triggering event.
-    [event_earlier] is the precomputed well-order comparison between
-    the event's task and the rule's parent ([CLater] is its negation
-    only when the indices differ — ties are neither earlier nor
-    later).  Out-of-range [CParam]/[CField] evaluate comparisons to
-    mismatch rather than raising, so variadic rules can probe. *)
-
 val eval_cond_strict :
   params:Value.t array ->
   fields:Value.t array ->
@@ -35,4 +26,8 @@ val eval_cond_strict :
   later:bool ->
   Spec.cond ->
   bool
-(** Like {!eval_cond} but with both order relations explicit. *)
+(** Evaluate a rule condition against a triggering event, with the
+    well-order relations between the event's task and the rule's parent
+    given ([CEarlier] / [CLater]; ties are neither).  Out-of-range
+    [CParam]/[CField] make the condition false rather than raising, so
+    variadic rules can probe. *)

@@ -1,17 +1,18 @@
-(* Spec -> flat op-array compiler for the compiled cycle engine.
+(* Spec -> flat op-array compiler for the stepper ({!Engine}).
 
    Task-set bodies become one shared instruction array indexed by pc;
    every instruction carries the pc of its continuation, so executing a
-   task is a tight `match code.(pc)` dispatch with no list traversal and
-   no sharing of `Spec.op` structure.  Expressions and rule conditions
+   task is a tight `match code.(pc)` dispatch with no list traversal.
+   Expressions and rule conditions
    compile to postfix bytecode evaluated over preallocated scratch
    stacks (the bytecode-interpreter idiom: op arrays + mutable frames,
    no tree-walking).
 
-   The compiler only restructures data — all evaluation semantics
-   (numeric promotion, error strings, out-of-range clause probes) are
-   replicated exactly by the engine so that the compiled engine is
-   cycle- and state-equivalent to the tree-walking one. *)
+   The compiler only restructures data; evaluation semantics (numeric
+   promotion, error strings, out-of-range clause probes) live in the
+   stepper and in {!Binop}, and the reference evaluator {!Interp}
+   defines them for the property tests.  Each pc keeps the [Spec.op]
+   it came from, for observers that report ops in source terms. *)
 
 (* Postfix expression bytecode.  E_param/E_reg appear only in task-body
    expressions; E_cparam/E_cfield/E_earlier/E_later/E_overlap only in
@@ -81,6 +82,7 @@ type crule = {
 
 type program = {
   code : inst array;
+  src : Spec.op option array; (* per pc: the op it was compiled from *)
   entry : int array; (* per task-set slot *)
   n_sets : int;
   set_names : string array;
@@ -175,8 +177,8 @@ let compile (spec : Spec.t) : program =
   let prims = interner () in
   let code = ref [] in
   let n_code = ref 0 in
-  let emit inst =
-    code := inst :: !code;
+  let emit ?src inst =
+    code := (inst, src) :: !code;
     incr n_code;
     !n_code - 1
   in
@@ -243,6 +245,7 @@ let compile (spec : Spec.t) : program =
       | [] -> next
       | op :: rest ->
           let next = seq rest ~next in
+          let emit = emit ~src:op in
           let pc =
             match (op : Spec.op) with
             | Spec.Let (v, e) ->
@@ -408,15 +411,17 @@ let compile (spec : Spec.t) : program =
   let max_arity = Array.fold_left max 1 set_arity in
   let max_event_fields =
     let m = ref max_arity in
-    Array.iter
+    List.iter
       (function
-        | I_emit { args; _ } -> if Array.length args > !m then m := Array.length args
+        | I_emit { args; _ }, _ -> if Array.length args > !m then m := Array.length args
         | _ -> ())
-      (Array.of_list !code);
+      !code;
     !m
   in
+  let code = Array.of_list (List.rev !code) in
   {
-    code = Array.of_list (List.rev !code);
+    code = Array.map fst code;
+    src = Array.map snd code;
     entry;
     n_sets;
     set_names = Array.map (fun ts -> ts.Spec.ts_name) sets;

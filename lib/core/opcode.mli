@@ -1,4 +1,4 @@
-(** Spec → flat op-array compiler for the compiled cycle engine.
+(** Spec → flat op-array compiler for the stepper ({!Engine}).
 
     Task-set bodies compile into one shared instruction array indexed
     by pc; every instruction embeds the pc of its continuation, so
@@ -10,8 +10,10 @@
 
     The compiler changes representation only: evaluation semantics
     (numeric promotion, division checks, error strings, out-of-range
-    clause probes) are replicated by the engine so that compiled
-    execution is cycle- and state-equivalent to {!Engine}. *)
+    clause probes) live in {!Engine} and {!Binop}; the reference
+    evaluator {!Interp} states them independently for the property
+    tests.  Every pc keeps the {!Spec.op} it was compiled from, so
+    observers can report execution in source terms. *)
 
 type eop =
   | E_int of int
@@ -76,6 +78,8 @@ type crule = {
 
 type program = {
   code : inst array;
+  src : Spec.op option array;
+      (** per pc, the op it was compiled from; [None] at the commit pc *)
   entry : int array;  (** per task-set slot *)
   n_sets : int;
   set_names : string array;

@@ -1,15 +1,14 @@
 (* One semantics, many interpretations.
 
-   The small-step ECA-rule semantics lives in {!Engine}; what used to
-   distinguish Sequential / Runtime / Parallel_runtime / Trace /
-   Cpu_model was five hand-written driver loops around it, each free to
-   drift.  This module is the single driver, parameterized over an
-   {!interpretation} record: a {!policy} (which scheduling discipline
-   feeds tasks to the stepper) plus {!hooks} (effect observers fired at
-   every lifecycle transition).  A substrate is now a record, not a
-   reimplementation — the legacy modules are thin adapters over {!run},
-   and a new backend (tracing, profiling, counting, future cost-model
-   evaluators) is an interpretation record away. *)
+   The small-step ECA-rule semantics lives in the stepper {!Engine};
+   this module is the single software driver around it, parameterized
+   over an {!interpretation} record: a {!policy} (which scheduling
+   discipline feeds tasks to the stepper) plus {!hooks} (effect
+   observers fired at every lifecycle transition).  Sequential, Runtime,
+   Parallel_runtime, Trace and Cpu_model are records over {!run}, and a
+   new software backend (tracing, profiling, counting) is an
+   interpretation record away.  The hardware model drives the same
+   stepper from its own cycle loop. *)
 
 (* Typed liveness failures.  Historically these were born in [Runtime]
    and the whole repo matches on [Runtime.Deadlock] /
@@ -28,7 +27,7 @@ let () =
 
 type step_event =
   | Acquired
-  | Resumed
+  | Resumed of bool
   | Executed of Spec.op
   | Blocked_on of string
   | Finished of Engine.outcome
@@ -72,59 +71,57 @@ let with_hooks interp hooks = { interp with hooks }
 
 let with_descr interp descr = { interp with descr }
 
-let head_op (task : Engine.task) =
-  match task.Engine.cont with
-  | op :: _ -> Some op
-  | [] -> None
+(* Step [task] once and report the step through [fire], naming the op
+   as the spec wrote it. *)
+let step_observed eng fire ~worker (task : Engine.task) =
+  let op = (Engine.program eng).Opcode.src.(task.Engine.pc) in
+  let r = Engine.step eng task in
+  begin
+    match (r, op) with
+    | Engine.Stepped, Some op -> fire ~worker task (Executed op)
+    | Engine.Blocked, Some (Spec.Await (_, h)) -> fire ~worker task (Blocked_on h)
+    | Engine.Finished outcome, _ -> fire ~worker task (Finished outcome)
+    | (Engine.Stepped | Engine.Blocked), _ -> ()
+  end;
+  r
 
-let blocked_handle head =
-  match head with
-  | Some (Spec.Await (_, h)) -> h
-  | _ -> ""
+(* The tasks the last [Engine.resume_ready] woke, in index order. *)
+let iter_resumed eng f =
+  for i = 0 to Engine.resumed_count eng - 1 do
+    f (Engine.resumed eng i)
+  done
 
-(* --- Min_first: Definition 4.3, always run the minimum active task.
-   Structurally Engine.run_to_completion + the legacy Sequential loop,
-   with hooks at every transition. *)
+(* --- Min_first: Definition 4.3, always run the minimum active task
+   to completion. *)
 let run_min_first ~descr ~max_tasks ~hooks eng =
   let tasks_run = ref 0 in
   let op_count = ref 0 in
-  let fire task ev = hooks.on_event ~tick:!op_count ~worker:0 task ev in
-  let drive (task : Engine.task) =
-    let rec go () =
-      let head = head_op task in
-      match Engine.step eng task with
-      | Engine.Stepped ->
-          incr op_count;
-          (match head with Some op -> fire task (Executed op) | None -> ());
-          go ()
-      | Engine.Finished outcome ->
-          incr op_count;
-          fire task (Finished outcome);
-          Engine.resolve_pending eng
-      | Engine.Blocked -> begin
-          incr op_count;
-          fire task (Blocked_on (blocked_handle head));
-          Engine.resolve_pending eng;
-          match Engine.resume_ready eng with
-          | [] ->
-              failwith
-                (Printf.sprintf "Engine: sequential deadlock at task %s of set %d"
-                   (Index.to_string task.Engine.index) task.Engine.set_slot)
-          | woke ->
-              (* the running task is minimal, so it is what wakes *)
-              List.iter (fun t -> fire t Resumed) woke;
-              go ()
-        end
-    in
-    go ()
+  let fire ~worker task e = hooks.on_event ~tick:!op_count ~worker task e in
+  let rec drive (task : Engine.task) =
+    incr op_count;
+    match step_observed eng fire ~worker:0 task with
+    | Engine.Stepped -> drive task
+    | Engine.Finished _ -> Engine.resolve_pending eng
+    | Engine.Blocked ->
+        Engine.resolve_pending eng;
+        Engine.resume_ready eng;
+        if Engine.resumed_count eng = 0 then
+          raise
+            (Deadlock
+               (Printf.sprintf "%s: deadlock at task %s of set %d" descr
+                  (Index.to_string (Index.of_array task.Engine.idx))
+                  task.Engine.set));
+        (* the running task is minimal, so it is what wakes *)
+        iter_resumed eng (fun w -> fire ~worker:0 w (Resumed w.Engine.verdict));
+        drive task
   in
   let rec loop () =
-    if !tasks_run > max_tasks then failwith (descr ^ ": task budget exceeded");
+    if !tasks_run > max_tasks then raise (Step_limit_exceeded max_tasks);
     match Engine.pop_min eng with
     | None -> ()
     | Some task ->
         incr tasks_run;
-        fire task Acquired;
+        fire ~worker:0 task Acquired;
         drive task;
         loop ()
   in
@@ -143,76 +140,72 @@ let run_min_first ~descr ~max_tasks ~hooks eng =
 (* --- Workers: the aggressive software runtime of §4.4.  A fixed pool
    of abstract workers, deterministic op-by-op interleaving; resumed
    tasks take slot priority over fresh pops (they are already deep in
-   the pipeline).  Trace capture is this policy plus recording hooks —
-   the hooks fire at exactly the points the legacy tracer recorded, so
-   a traced run keeps the same schedule as an untraced one. *)
+   the pipeline).  Trace capture is this policy plus recording hooks,
+   so a traced run keeps the same schedule as an untraced one. *)
 let run_workers ~descr ~workers ~max_steps ~hooks eng =
   if workers < 1 then invalid_arg (descr ^ ": workers must be positive");
-  let slots : Engine.task option array = Array.make workers None in
+  let slots = Array.make workers Engine.nil_task in
   let resumable = Queue.create () in
   let tasks_run = ref 0 in
   let steps = ref 0 in
   let max_concurrency = ref 0 in
   let total_busy = ref 0 in
   let max_waiting = ref 0 in
-  let fire w task ev = hooks.on_event ~tick:!steps ~worker:w task ev in
-  let occupied () = Array.fold_left (fun n s -> if s = None then n else n + 1) 0 slots in
+  let fire ~worker task e = hooks.on_event ~tick:!steps ~worker task e in
+  let wake () =
+    Engine.resume_ready eng;
+    iter_resumed eng (fun task -> Queue.push task resumable)
+  in
   while Engine.uncommitted_remaining eng do
     incr steps;
     if !steps > max_steps then raise (Step_limit_exceeded max_steps);
     let progressed = ref false in
     for w = 0 to workers - 1 do
-      if slots.(w) = None then begin
+      if slots.(w) == Engine.nil_task then begin
         if not (Queue.is_empty resumable) then begin
           let task = Queue.pop resumable in
-          fire w task Resumed;
-          slots.(w) <- Some task
+          fire ~worker:w task (Resumed task.Engine.verdict);
+          slots.(w) <- task
         end
         else
           match Engine.pop_any eng with
           | Some task ->
-              fire w task Acquired;
-              slots.(w) <- Some task
+              fire ~worker:w task Acquired;
+              slots.(w) <- task
           | None -> ()
       end
     done;
-    let busy_now = occupied () in
+    let busy_now =
+      Array.fold_left (fun n s -> if s == Engine.nil_task then n else n + 1) 0 slots
+    in
     total_busy := !total_busy + busy_now;
     max_concurrency := max !max_concurrency busy_now;
     (* One operation per busy worker per tick. *)
     for w = 0 to workers - 1 do
-      match slots.(w) with
-      | None -> ()
-      | Some task -> begin
-          let head = head_op task in
-          match Engine.step eng task with
-          | Engine.Stepped ->
-              progressed := true;
-              (match head with Some op -> fire w task (Executed op) | None -> ())
-          | Engine.Blocked ->
-              progressed := true;
-              fire w task (Blocked_on (blocked_handle head));
-              slots.(w) <- None;
-              Engine.resolve_pending eng
-          | Engine.Finished outcome ->
-              progressed := true;
-              incr tasks_run;
-              fire w task (Finished outcome);
-              slots.(w) <- None;
-              Engine.resolve_pending eng
-        end
+      let task = slots.(w) in
+      if task != Engine.nil_task then begin
+        progressed := true;
+        match step_observed eng fire ~worker:w task with
+        | Engine.Stepped -> ()
+        | Engine.Blocked ->
+            slots.(w) <- Engine.nil_task;
+            Engine.resolve_pending eng
+        | Engine.Finished _ ->
+            incr tasks_run;
+            slots.(w) <- Engine.nil_task;
+            Engine.resolve_pending eng
+      end
     done;
-    max_waiting := max !max_waiting (List.length (Engine.waiting_tasks eng));
+    max_waiting := max !max_waiting (Engine.waiting_count eng);
     (* Wake tasks whose rendezvous resolved. *)
-    List.iter (fun task -> Queue.push task resumable) (Engine.resume_ready eng);
+    wake ();
     if (not !progressed) && Queue.is_empty resumable then begin
       (* Nothing ran and nothing woke: either only parked tasks remain
          (give the minimum-task machinery a chance) or the spec is
          deadlocked. *)
       Engine.resolve_pending eng;
-      let woke = Engine.resume_ready eng in
-      List.iter (fun task -> Queue.push task resumable) woke;
-      if woke = [] && Engine.deadlocked eng then
+      wake ();
+      if Queue.is_empty resumable && Engine.deadlocked eng then
         raise (Deadlock (descr ^ ": deadlock — a rule lacks a viable exit path"))
     end
   done;
@@ -250,11 +243,15 @@ let run_domains ~descr ~domains ~hooks eng =
   let tasks_run = Atomic.make 0 in
   let failure : exn option Atomic.t = Atomic.make None in
   let ticks = ref 0 (* mutated under the lock only *) in
+  let fire ~worker task e =
+    incr ticks;
+    hooks.on_event ~tick:!ticks ~worker task e
+  in
+  let wake () =
+    Engine.resume_ready eng;
+    iter_resumed eng (fun task -> Queue.push task resumable)
+  in
   let worker wid () =
-    let fire task ev =
-      incr ticks;
-      hooks.on_event ~tick:!ticks ~worker:wid task ev
-    in
     let idle_spins = ref 0 in
     let running = ref true in
     while !running && Atomic.get failure = None do
@@ -270,22 +267,18 @@ let run_domains ~descr ~domains ~hooks eng =
         match task with
         | Some (task, resumed) -> begin
             idle_spins := 0;
-            fire task (if resumed then Resumed else Acquired);
+            fire ~worker:wid task
+              (if resumed then Resumed task.Engine.verdict else Acquired);
             let rec slice () =
-              let head = head_op task in
-              match Engine.step eng task with
-              | Engine.Stepped ->
-                  (match head with Some op -> fire task (Executed op) | None -> ());
-                  slice ()
+              match step_observed eng fire ~worker:wid task with
+              | Engine.Stepped -> slice ()
               | Engine.Blocked ->
-                  fire task (Blocked_on (blocked_handle head));
                   Engine.resolve_pending eng;
-                  List.iter (fun t -> Queue.push t resumable) (Engine.resume_ready eng)
-              | Engine.Finished outcome ->
-                  fire task (Finished outcome);
+                  wake ()
+              | Engine.Finished _ ->
                   Atomic.incr tasks_run;
                   Engine.resolve_pending eng;
-                  List.iter (fun t -> Queue.push t resumable) (Engine.resume_ready eng)
+                  wake ()
             in
             (try slice () with e -> Atomic.set failure (Some e))
           end
@@ -295,7 +288,7 @@ let run_domains ~descr ~domains ~hooks eng =
               (* nothing runnable here: give the minimum-task machinery
                  a chance, then back off *)
               Engine.resolve_pending eng;
-              List.iter (fun t -> Queue.push t resumable) (Engine.resume_ready eng);
+              wake ();
               incr idle_spins;
               if !idle_spins > 1_000_000 then begin
                 if Engine.deadlocked eng then

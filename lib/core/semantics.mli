@@ -1,11 +1,11 @@
 (** One semantics, many interpretations.
 
     The small-step ECA-rule stepper lives in {!Engine}; this module is
-    the {e single} driver loop around it, parameterized over an
-    {!interpretation} record.  What used to be five hand-written
-    substrate loops — [Sequential], [Runtime], [Parallel_runtime],
-    [Trace] capture, [Cpu_model] instrumentation — are now one of three
-    scheduling {!policy}s plus optional effect {!hooks}:
+    the {e single} software driver around it, parameterized over an
+    {!interpretation} record.  [Sequential], [Runtime],
+    [Parallel_runtime], [Trace] capture and [Cpu_model] instrumentation
+    are each one of three scheduling {!policy}s plus optional effect
+    {!hooks}:
 
     - {!oracle} — always run the minimum active task to completion
       (Definition 4.3's well-order; the conformance reference).
@@ -32,8 +32,10 @@ exception Step_limit_exceeded of int
 (** One lifecycle transition of one task under the stepper. *)
 type step_event =
   | Acquired  (** scheduled for the first time, or re-popped fresh *)
-  | Resumed  (** woken from a rendezvous and rescheduled *)
-  | Executed of Spec.op  (** one operation retired *)
+  | Resumed of bool
+      (** woken from a rendezvous and rescheduled, with the verdict
+          the rule resolved to *)
+  | Executed of Spec.op  (** one operation retired, as written in the spec *)
   | Blocked_on of string  (** parked awaiting the named handle *)
   | Finished of Engine.outcome  (** frame completed *)
 
@@ -42,7 +44,8 @@ type hooks = {
       (** [tick] is the policy's time unit (scheduler tick for
           {!pipelined}, global transition count otherwise); [worker]
           the abstract worker / domain id.  Under {!multicore} hooks
-          fire holding the engine lock — keep them short. *)
+          fire holding the engine lock — keep them short.  The task
+          frame is only valid during the call (frames are pooled). *)
 }
 
 val null_hooks : hooks
@@ -77,7 +80,9 @@ type report = {
 
 val oracle : ?max_tasks:int -> unit -> interpretation
 (** Sequential minimum-first reference. Default budget 10_000_000
-    tasks; exceeding it raises [Failure]. *)
+    tasks.  Raises {!Step_limit_exceeded} past the budget and
+    {!Deadlock} when a rendezvous of the running (minimal) task cannot
+    resolve. *)
 
 val pipelined : ?workers:int -> ?max_steps:int -> unit -> interpretation
 (** Worker-pool runtime. Defaults: 8 workers, 100_000_000 steps.

@@ -24,4 +24,6 @@ val run :
     injection), then executes to quiescence, mutating [state].
     [max_tasks] (default 10 million) guards against diverging
     specifications.
-    @raise Failure on deadlock or when [max_tasks] is exceeded. *)
+    @raise Semantics.Deadlock when a rendezvous cannot resolve.
+    @raise Semantics.Step_limit_exceeded when [max_tasks] is exceeded
+    (the payload is [max_tasks]). *)

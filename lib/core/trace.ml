@@ -52,8 +52,8 @@ let run ?(initial = []) ?(workers = 4) ?(max_entries = 100_000) sp bindings st =
           tick;
           worker;
           tid = task.Engine.tid;
-          set_name = set_name task.Engine.set_slot;
-          index = Index.to_string task.Engine.index;
+          set_name = set_name task.Engine.set;
+          index = Index.to_string (Index.of_array task.Engine.idx);
           kind;
         }
         :: !entries
@@ -65,14 +65,7 @@ let run ?(initial = []) ?(workers = 4) ?(max_entries = 100_000) sp bindings st =
         (fun ~tick ~worker task ev ->
           match ev with
           | Semantics.Acquired -> record tick worker task Started
-          | Semantics.Resumed ->
-              (* the rendezvous verdict the wake bound into the frame *)
-              let verdict =
-                match Hashtbl.find_opt task.Engine.env "ok" with
-                | Some (Value.Bool b) -> b
-                | Some _ | None -> true
-              in
-              record tick worker task (Resumed verdict)
+          | Semantics.Resumed verdict -> record tick worker task (Resumed verdict)
           | Semantics.Executed op -> record tick worker task (Executed (op_descriptor op))
           | Semantics.Blocked_on h -> record tick worker task (Blocked_at h)
           | Semantics.Finished outcome ->

@@ -2,9 +2,10 @@
     (Fig. 7): replicated task pipelines per task set, multi-bank task
     queues, shared rule engines, and the cache/QPI memory subsystem.
 
-    The model runs on {!Engine_compiled}, which executes the
-    specification as compiled op arrays and charges time around each
-    operation: loads and stores travel through {!Memory},
+    The model is the cycle loop of {!Engine_compiled} around the
+    untimed stepper {!Agp_core.Engine} that every software backend
+    also runs; the loop charges time around each operation from what
+    the step touched: loads and stores travel through {!Memory},
     data-dependent spawners occupy their stage once per emitted token,
     prims occupy their stage for a configured kernel latency plus their
     access burst, rendezvous park the task in a rule lane until

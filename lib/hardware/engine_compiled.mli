@@ -1,13 +1,13 @@
-(** Compiled cycle engine: the accelerator model's cycle loop as a
-    bytecode dispatch loop over {!Agp_core.Opcode} op arrays.
+(** The timed layer of the accelerator model: its cycle loop over the
+    untimed stepper {!Agp_core.Engine}.
 
-    The spec is compiled once ({!Agp_core.Opcode.compile}); tasks are
-    pooled mutable frames whose registers and payloads live in
-    preallocated unboxed int/float arrays, task queues are rings, the
-    priority queue is a flat binary heap, and per-cycle stall
-    attribution accumulates in a flat int matrix — the steady-state
-    loop allocates zero words per cycle.  Idle cycles are skipped by a
-    next-ready fast-forward wheel.
+    The stepper executes each op and leaves a footprint (the address of
+    a Load or Store, the width of a Push_iter, the Prim called); this
+    layer owns the pipeline windows, the modelled {!Memory} that turns
+    footprints into latencies, per-cycle stall attribution in a flat
+    int matrix, sink events, and a next-ready fast-forward wheel that
+    skips idle cycles.  The steady-state loop allocates zero words per
+    cycle.
 
     The conformance matrix holds its final state to the sequential
     oracle, and the pin test in [test/test_conformance.ml] holds its

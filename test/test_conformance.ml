@@ -323,10 +323,11 @@ let test_engine_pins () =
   | [] -> ()
   | fs -> Alcotest.failf "cycle engine drifts from its pins:\n%s" (String.concat "\n" fs)
 
-(* --- one binop table (satellite): random expressions must evaluate
-   bit-for-bit identically under the tree-walking interpreter and the
-   compiled op-array engine — including the error cases, whose
-   messages now come from the single Agp_core.Binop table --- *)
+(* --- the reference evaluator against the stepper: random expressions
+   must store bit-for-bit the same float cell under Interp's tree walk
+   (through State.write) and under the stepper's postfix code on the
+   simulator — including the error cases, whose messages come from the
+   single Agp_core.Binop table --- *)
 
 let binop_str (op : Spec.binop) =
   match op with
@@ -416,40 +417,46 @@ let expr_spec e : Spec.t =
     rules = [];
   }
 
-(* The out cell is a float array: Int stores widen (identically in both
-   engines), Bool stores raise State's type mismatch, and float results
-   land with their exact bits. *)
-let eval_tree sp payload =
+(* The out cell is a float array: Int stores widen, Bool stores raise
+   State's type mismatch, and float results land with their exact
+   bits. *)
+let out_cell () =
   let st = State.create () in
   State.add_float_array st "out" [| 0.0 |];
-  match Agp_core.Sequential.run ~initial:[ ("t", payload) ] sp Spec.no_bindings st with
-  | _ -> Ok (Int64.bits_of_float (State.float_array st "out").(0))
+  st
+
+let out_bits st = Int64.bits_of_float (State.float_array st "out").(0)
+
+let eval_reference e payload =
+  let st = out_cell () in
+  match
+    State.write st "out" 0 (Agp_core.Interp.eval_expr (Hashtbl.create 1) (Array.of_list payload) e)
+  with
+  | () -> Ok (out_bits st)
   | exception e -> Error (Printexc.to_string e)
 
-let eval_compiled sp payload =
-  let st = State.create () in
-  State.add_float_array st "out" [| 0.0 |];
+let eval_compiled e payload =
+  let st = out_cell () in
   match
-    Accelerator.run ~spec:sp ~bindings:Spec.no_bindings ~state:st
+    Accelerator.run ~spec:(expr_spec e) ~bindings:Spec.no_bindings ~state:st
       ~initial:[ ("t", payload) ] ()
   with
-  | _ -> Ok (Int64.bits_of_float (State.float_array st "out").(0))
+  | _ -> Ok (out_bits st)
   | exception e -> Error (Printexc.to_string e)
 
 let outcome_str = function
   | Ok bits -> Printf.sprintf "Ok %.17g (bits %Lx)" (Int64.float_of_bits bits) bits
   | Error e -> "Error: " ^ e
 
-let test_binop_engines_agree =
-  QCheck.Test.make ~name:"tree-walk and compiled binop semantics agree bit-for-bit"
+let test_reference_evaluator_agrees =
+  QCheck.Test.make ~name:"reference evaluator and stepper store the same bits"
     ~count:150 expr_case
     (fun (e, payload) ->
-      let sp = expr_spec e in
-      let t = eval_tree sp payload in
-      let c = eval_compiled sp payload in
+      let t = eval_reference e payload in
+      let c = eval_compiled e payload in
       if t = c then true
       else
-        QCheck.Test.fail_reportf "tree-walk %s\nvs compiled %s" (outcome_str t)
+        QCheck.Test.fail_reportf "reference %s\nvs stepper %s" (outcome_str t)
           (outcome_str c))
 
 let test_binop_error_cases () =
@@ -467,13 +474,12 @@ let test_binop_error_cases () =
   Alcotest.check_raises "non-bool connective operand"
     (Invalid_argument "Value.to_bool: 1") (fun () ->
       ignore (Interp.eval_binop Spec.And (Value.Int 1) (Value.Bool true)));
-  (* the compiled engine must surface the very same messages end-to-end *)
+  (* the stepper must surface the very same messages end-to-end *)
   List.iter
     (fun e ->
-      let sp = expr_spec e in
       let payload = [ Value.Int 0; Value.Int 0; Value.Int 0; Value.Int 0 ] in
-      let t = eval_tree sp payload and c = eval_compiled sp payload in
-      check Alcotest.bool (Printf.sprintf "engines agree on %s" (expr_str e)) true
+      let t = eval_reference e payload and c = eval_compiled e payload in
+      check Alcotest.bool (Printf.sprintf "evaluators agree on %s" (expr_str e)) true
         (t = c && Result.is_error t))
     Spec.
       [
@@ -687,6 +693,33 @@ let test_simulator_deadlock_typed () =
   | Error f -> Alcotest.failf "expected Liveness, got %s" (Conformance.failure_to_string f)
   | Ok () -> Alcotest.fail "a deadlocked simulator cannot conform"
 
+(* The oracle's liveness failures are typed too: [agp run --backend
+   sequential] maps them to exit 3 like every other backend. *)
+let test_sequential_deadlock_typed () =
+  let cyclic = hand_app ~initial:(deadlock_initial 0) deadlock_spec in
+  (match Backend.run Backend.sequential cyclic with
+  | exception Semantics.Deadlock _ -> ()
+  | exception e -> Alcotest.failf "expected Deadlock, got %s" (Printexc.to_string e)
+  | _ -> Alcotest.fail "a rendezvous cycle cannot quiesce under the oracle");
+  (* and conformance files the oracle's deadlock as a liveness failure *)
+  match Conformance.check (Backend.runtime ()) cyclic with
+  | Error (Conformance.Liveness msg) ->
+      check Alcotest.bool "the oracle is named" true (String.starts_with ~prefix:"oracle: " msg)
+  | Error f -> Alcotest.failf "expected Liveness, got %s" (Conformance.failure_to_string f)
+  | Ok () -> Alcotest.fail "a rendezvous cycle cannot conform"
+
+let test_sequential_task_budget_typed () =
+  let app = Workloads.spec_bfs Workloads.Small ~seed:7 in
+  let r = app.App_instance.fresh () in
+  match
+    Agp_core.Sequential.run ~initial:r.App_instance.initial ~max_tasks:1 app.App_instance.spec
+      r.App_instance.bindings r.App_instance.state
+  with
+  | exception Semantics.Step_limit_exceeded n ->
+      check Alcotest.int "exception carries the exhausted budget" 1 n
+  | exception e -> Alcotest.failf "expected Step_limit_exceeded, got %s" (Printexc.to_string e)
+  | _ -> Alcotest.fail "a 1-task budget cannot complete SPEC-BFS"
+
 (* --- keyed rule dispatch falls back to the full scan on non-int events.
    The waiter W (set t, index 1) allocates a rule keyed on
    [Earlier && F0 = P0] with the int param 5, activates a child in set
@@ -841,7 +874,7 @@ let () =
         ] );
       ( "semantics",
         [
-          qtest test_binop_engines_agree;
+          qtest test_reference_evaluator_agrees;
           Alcotest.test_case "shared binop error messages" `Quick test_binop_error_cases;
           Alcotest.test_case "a substrate is an interpretation record" `Quick
             test_counting_interpretation;
@@ -861,6 +894,10 @@ let () =
           Alcotest.test_case "step limit is typed" `Quick test_step_limit_typed;
           Alcotest.test_case "simulator deadlock is typed Liveness" `Quick
             test_simulator_deadlock_typed;
+          Alcotest.test_case "sequential deadlock is typed" `Quick
+            test_sequential_deadlock_typed;
+          Alcotest.test_case "sequential task budget is typed" `Quick
+            test_sequential_task_budget_typed;
           Alcotest.test_case "keyed dispatch falls back on non-int events" `Quick
             test_keyed_fallback_exact;
           Alcotest.test_case "check_both reports both modes" `Quick

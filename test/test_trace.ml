@@ -76,6 +76,47 @@ let test_trace_entry_cap () =
   check (Alcotest.result Alcotest.unit Alcotest.string) "execution still completes" (Ok ())
     (r.App_instance.check ())
 
+(* The Resumed entry carries the verdict the rule resolved to, whatever
+   the Await destination is called: here a lone task parks on a rule
+   with no clauses, is minimal, and wakes through its false otherwise
+   path. *)
+let test_trace_resumed_verdict () =
+  let sp : Spec.t =
+    {
+      Spec.spec_name = "false-otherwise";
+      task_sets =
+        [
+          {
+            Spec.ts_name = "t";
+            ts_order = Spec.For_each;
+            arity = 0;
+            body = [ Spec.Alloc ("h", "r", []); Spec.Await ("v", "h") ];
+          };
+        ];
+      rules =
+        [
+          {
+            Spec.rule_name = "r";
+            n_params = 0;
+            clauses = [];
+            otherwise = false;
+            scope = Spec.Min_uncommitted;
+            counted = false;
+          };
+        ];
+    }
+  in
+  let t = Trace.run ~initial:[ ("t", []) ] sp Spec.no_bindings (State.create ()) in
+  let verdicts =
+    List.filter_map
+      (fun e ->
+        match e.Trace.kind with
+        | Trace.Resumed b -> Some b
+        | _ -> None)
+      t.Trace.entries
+  in
+  check Alcotest.(list bool) "one wake, with the false verdict" [ false ] verdicts
+
 (* --- explorer --- *)
 
 let test_explore_lu () =
@@ -125,6 +166,7 @@ let () =
           Alcotest.test_case "timeline renders" `Quick test_trace_timeline_renders;
           Alcotest.test_case "op descriptors" `Quick test_trace_op_descriptors;
           Alcotest.test_case "entry cap" `Quick test_trace_entry_cap;
+          Alcotest.test_case "resumed carries the verdict" `Quick test_trace_resumed_verdict;
         ] );
       ( "explore",
         [

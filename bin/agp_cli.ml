@@ -177,7 +177,7 @@ let trace_cmd =
             app.Agp_apps.App_instance.spec r.Agp_apps.App_instance.bindings
             r.Agp_apps.App_instance.state
         in
-        Printf.printf "timeline (first %d ticks; cells are task indices, ~ = rendezvous stall, * \
+        Printf.printf "timeline (first %d ticks; cells are task ids, ~ = rendezvous stall, * \
                        = squash):\n%s\n"
           ticks
           (Agp_core.Trace.render_timeline ~max_ticks:ticks t);
@@ -185,7 +185,12 @@ let trace_cmd =
           (fun (set, committed, aborted, retried, blocks) ->
             Printf.printf "%-10s committed %-6d aborted %-6d retried %-6d rendezvous stalls %d\n"
               set committed aborted retried blocks)
-          (Agp_core.Trace.summarize t)
+          (Agp_core.Trace.summarize t);
+        if t.Agp_core.Trace.dropped > 0 then
+          Printf.printf
+            "(recording kept the first %d events; the %d after them are not in the timeline or \
+             the summary)\n"
+            (List.length t.Agp_core.Trace.events) t.Agp_core.Trace.dropped
   in
   Cmd.v
     (Cmd.info "trace"
@@ -297,10 +302,10 @@ let run_cmd =
             | exception Backend.Unsupported { backend; app; reason } ->
                 Printf.eprintf "%s is unsupported on backend %s: %s\n" app backend reason;
                 exit 1
-            | exception Agp_core.Runtime.Deadlock msg ->
+            | exception Agp_core.Semantics.Deadlock msg ->
                 Printf.eprintf "liveness failure: %s\n" msg;
                 exit liveness_exit
-            | exception Agp_core.Runtime.Step_limit_exceeded n ->
+            | exception Agp_core.Semantics.Step_limit_exceeded n ->
                 Printf.eprintf "liveness failure: step limit %d exceeded without quiescing\n" n;
                 exit liveness_exit
             | res ->

@@ -19,12 +19,19 @@ type t = {
 
 let run_sequential t =
   let r = t.fresh () in
-  let report = Agp_core.Sequential.run ~initial:r.initial t.spec r.bindings r.state in
+  let report =
+    Agp_core.Semantics.run ~initial:r.initial (Agp_core.Semantics.oracle ()) t.spec r.bindings
+      r.state
+  in
   (report, r)
 
 let run_runtime ?workers t =
   let r = t.fresh () in
-  let report = Agp_core.Runtime.run ~initial:r.initial ?workers t.spec r.bindings r.state in
+  let report =
+    Agp_core.Semantics.run ~initial:r.initial
+      (Agp_core.Semantics.pipelined ?workers ())
+      t.spec r.bindings r.state
+  in
   (report, r)
 
 let check_both ?workers t =

@@ -44,13 +44,13 @@ type t = {
           [None] for mesh/matrix substrates *)
 }
 
-val run_sequential : t -> Agp_core.Sequential.report * run
+val run_sequential : t -> Agp_core.Semantics.report * run
 (** Fresh instance, sequential execution, no check.  This and
-    {!run_runtime} are the primitive per-substrate hooks; new call
+    {!run_runtime} are the primitive per-substrate entry points; new call
     sites should go through the uniform [Agp_backend.Backend] registry,
     which wraps them. *)
 
-val run_runtime : ?workers:int -> t -> Agp_core.Runtime.report * run
+val run_runtime : ?workers:int -> t -> Agp_core.Semantics.report * run
 (** Fresh instance, aggressive runtime execution (see
     {!run_sequential} on preferring [Agp_backend.Backend]). *)
 

@@ -1,6 +1,6 @@
 module App_instance = Agp_apps.App_instance
 module State = Agp_core.State
-module Runtime = Agp_core.Runtime
+module Semantics = Agp_core.Semantics
 
 type failure =
   | Unsupported of string
@@ -30,8 +30,8 @@ let check ?(state_equiv = false) (b : Backend.t) (app : App_instance.t) =
   (* The oracle runs first, on its own fresh instance; its verdict
      anchors the comparison. *)
   match App_instance.run_sequential app with
-  | exception Runtime.Deadlock msg -> Error (Liveness ("oracle: " ^ msg))
-  | exception Runtime.Step_limit_exceeded n ->
+  | exception Semantics.Deadlock msg -> Error (Liveness ("oracle: " ^ msg))
+  | exception Semantics.Step_limit_exceeded n ->
       Error (Liveness (Printf.sprintf "oracle: task budget %d exceeded" n))
   | exception e -> Error (Oracle_failed (Printexc.to_string e))
   | _, oracle -> begin
@@ -40,8 +40,8 @@ let check ?(state_equiv = false) (b : Backend.t) (app : App_instance.t) =
       | Ok () -> begin
           match Backend.run b app with
           | exception Backend.Unsupported { reason; _ } -> Error (Unsupported reason)
-          | exception Runtime.Deadlock msg -> Error (Liveness msg)
-          | exception Runtime.Step_limit_exceeded n ->
+          | exception Semantics.Deadlock msg -> Error (Liveness msg)
+          | exception Semantics.Step_limit_exceeded n ->
               Error (Liveness (Printf.sprintf "step limit %d exceeded" n))
           | exception e -> Error (Crash (Printexc.to_string e))
           | res -> begin

@@ -39,7 +39,6 @@ type report = {
   seconds_10core : float;
   tasks : int;
   ops : int;
-  mem_ops : int;
   accesses : int;
   l1_hit_rate : float;
   parallel_steps : int;
@@ -69,29 +68,18 @@ let replay_access p c addr =
     end
   end
 
-(* The timing model is an effect-hook interpretation of the shared
-   stepper: it watches the operation stream through {!Semantics.hooks}
-   (here counting memory operations retired) while the address trace
-   for cache replay comes from {!State} tracing — addresses are a
-   state-layer concern, not a scheduling one. *)
-let mem_counting_hooks counter =
-  {
-    Semantics.on_event =
-      (fun ~tick:_ ~worker:_ _ ev ->
-        match ev with
-        | Semantics.Executed (Agp_core.Spec.Load _ | Agp_core.Spec.Store _) -> incr counter
-        | _ -> ());
-  }
-
+(* The timing model is two interpretations of the shared stepper: the
+   oracle for the 1-core profile and the pipelined runtime for the
+   10-core makespan.  The address trace for cache replay comes from
+   {!State} tracing — addresses are a state-layer concern, not a
+   scheduling one. *)
 let run ?(params = default_params) (app : App_instance.t) =
   let p = params in
   (* --- sequential profiled run: the oracle interpretation --- *)
   let seq = app.App_instance.fresh () in
   State.set_tracing seq.App_instance.state true;
-  let mem_ops = ref 0 in
   let seq_report =
-    Semantics.run ~initial:seq.App_instance.initial
-      (Semantics.with_hooks (Semantics.oracle ()) (mem_counting_hooks mem_ops))
+    Semantics.run ~initial:seq.App_instance.initial (Semantics.oracle ())
       app.App_instance.spec seq.App_instance.bindings seq.App_instance.state
   in
   let trace = State.drain_trace seq.App_instance.state in
@@ -171,7 +159,6 @@ let run ?(params = default_params) (app : App_instance.t) =
     seconds_10core;
     tasks;
     ops;
-    mem_ops = !mem_ops;
     accesses;
     l1_hit_rate =
       (if accesses = 0 then 1.0 else float_of_int c.l1_hits /. float_of_int accesses);

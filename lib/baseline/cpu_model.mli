@@ -39,16 +39,13 @@ type report = {
   seconds_10core : float;
   tasks : int;
   ops : int;
-  mem_ops : int;
-      (** loads + stores retired on the profiled sequential run,
-          counted through {!Agp_core.Semantics.hooks} — the model is an
-          effect-hook interpretation of the shared stepper *)
   accesses : int;
   l1_hit_rate : float;
   parallel_steps : int;  (** 10-worker makespan in scheduler ticks *)
 }
 
 val run : ?params:params -> Agp_apps.App_instance.t -> report
-(** Executes the app once sequentially (profiled) and once on the
-    10-worker aggressive runtime (for the makespan), on fresh
-    instances. *)
+(** Executes the app once under {!Agp_core.Semantics.oracle} (profiled
+    through {!Agp_core.State} address tracing) and once under
+    {!Agp_core.Semantics.pipelined} with 10 workers (for the makespan),
+    on fresh instances. *)

@@ -82,7 +82,6 @@ type crule = {
 
 type program = {
   code : inst array;
-  src : Spec.op option array; (* per pc: the op it was compiled from *)
   entry : int array; (* per task-set slot *)
   n_sets : int;
   set_names : string array;
@@ -177,8 +176,8 @@ let compile (spec : Spec.t) : program =
   let prims = interner () in
   let code = ref [] in
   let n_code = ref 0 in
-  let emit ?src inst =
-    code := (inst, src) :: !code;
+  let emit inst =
+    code := inst :: !code;
     incr n_code;
     !n_code - 1
   in
@@ -245,7 +244,6 @@ let compile (spec : Spec.t) : program =
       | [] -> next
       | op :: rest ->
           let next = seq rest ~next in
-          let emit = emit ~src:op in
           let pc =
             match (op : Spec.op) with
             | Spec.Let (v, e) ->
@@ -413,15 +411,13 @@ let compile (spec : Spec.t) : program =
     let m = ref max_arity in
     List.iter
       (function
-        | I_emit { args; _ }, _ -> if Array.length args > !m then m := Array.length args
+        | I_emit { args; _ } -> if Array.length args > !m then m := Array.length args
         | _ -> ())
       !code;
     !m
   in
-  let code = Array.of_list (List.rev !code) in
   {
-    code = Array.map fst code;
-    src = Array.map snd code;
+    code = Array.of_list (List.rev !code);
     entry;
     n_sets;
     set_names = Array.map (fun ts -> ts.Spec.ts_name) sets;

@@ -78,8 +78,6 @@ type crule = {
 
 type program = {
   code : inst array;
-  src : Spec.op option array;
-      (** per pc, the op it was compiled from; [None] at the commit pc *)
   entry : int array;  (** per task-set slot *)
   n_sets : int;
   set_names : string array;

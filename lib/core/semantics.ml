@@ -3,38 +3,24 @@
    The small-step ECA-rule semantics lives in the stepper {!Engine};
    this module is the single software driver around it, parameterized
    over an {!interpretation} record: a {!policy} (which scheduling
-   discipline feeds tasks to the stepper) plus {!hooks} (effect
-   observers fired at every lifecycle transition).  Sequential, Runtime,
-   Parallel_runtime, Trace and Cpu_model are records over {!run}, and a
-   new software backend (tracing, profiling, counting) is an
-   interpretation record away.  The hardware model drives the same
-   stepper from its own cycle loop. *)
+   discipline feeds tasks to the stepper) plus a {!Agp_obs.Sink.t} that
+   receives the simulator's own task lifecycle events.  The oracle, the
+   worker-pool runtime, the domains runtime, Trace and Cpu_model are
+   records over {!run}.  The hardware model drives the same stepper
+   from its own cycle loop and emits the same events. *)
 
-(* Typed liveness failures.  Historically these were born in [Runtime]
-   and the whole repo matches on [Runtime.Deadlock] /
-   [Runtime.Step_limit_exceeded]; [Runtime] now re-exports these very
-   constructors (OCaml exception rebinding), so both names are the same
-   exception and every existing handler keeps working. *)
+module Sink = Agp_obs.Sink
+module Event = Agp_obs.Event
+
 exception Deadlock of string
 
 exception Step_limit_exceeded of int
 
 let () =
   Printexc.register_printer (function
-    | Deadlock msg -> Some (Printf.sprintf "Agp_core.Runtime.Deadlock(%S)" msg)
-    | Step_limit_exceeded n -> Some (Printf.sprintf "Agp_core.Runtime.Step_limit_exceeded(%d)" n)
+    | Deadlock msg -> Some (Printf.sprintf "Agp_core.Semantics.Deadlock(%S)" msg)
+    | Step_limit_exceeded n -> Some (Printf.sprintf "Agp_core.Semantics.Step_limit_exceeded(%d)" n)
     | _ -> None)
-
-type step_event =
-  | Acquired
-  | Resumed of bool
-  | Executed of Spec.op
-  | Blocked_on of string
-  | Finished of Engine.outcome
-
-type hooks = { on_event : tick:int -> worker:int -> Engine.task -> step_event -> unit }
-
-let null_hooks = { on_event = (fun ~tick:_ ~worker:_ _ _ -> ()) }
 
 type policy =
   | Min_first of { max_tasks : int }
@@ -44,7 +30,7 @@ type policy =
 type interpretation = {
   descr : string;
   policy : policy;
-  hooks : hooks;
+  sink : Sink.t;
 }
 
 type report = {
@@ -59,29 +45,56 @@ type report = {
 }
 
 let oracle ?(max_tasks = 10_000_000) () =
-  { descr = "Sequential.run"; policy = Min_first { max_tasks }; hooks = null_hooks }
+  { descr = "Semantics.oracle"; policy = Min_first { max_tasks }; sink = Sink.null }
 
 let pipelined ?(workers = 8) ?(max_steps = 100_000_000) () =
-  { descr = "Runtime.run"; policy = Workers { workers; max_steps }; hooks = null_hooks }
+  { descr = "Semantics.pipelined"; policy = Workers { workers; max_steps }; sink = Sink.null }
 
 let multicore ?domains () =
-  { descr = "Parallel_runtime.run"; policy = Domains { domains }; hooks = null_hooks }
+  { descr = "Semantics.multicore"; policy = Domains { domains }; sink = Sink.null }
 
-let with_hooks interp hooks = { interp with hooks }
+(* --- lifecycle events.  Only transitions are emitted, never single
+   ops, and nothing is built when the sink is disabled: a null sink
+   costs one branch per transition and allocates nothing. *)
 
-let with_descr interp descr = { interp with descr }
+type emitter = {
+  sink : Sink.t;
+  on : bool;
+  names : string array; (* per task-set slot *)
+}
 
-(* Step [task] once and report the step through [fire], naming the op
-   as the spec wrote it. *)
-let step_observed eng fire ~worker (task : Engine.task) =
-  let op = (Engine.program eng).Opcode.src.(task.Engine.pc) in
+let emitter eng sink =
+  { sink; on = Sink.enabled sink; names = (Engine.program eng).Opcode.set_names }
+
+let dispatch em ~ts ~pipe (task : Engine.task) =
+  if em.on then
+    Sink.emit em.sink ~ts
+      (Event.Task_dispatch { set = em.names.(task.Engine.set); pipe; tid = task.Engine.tid })
+
+let resume em ~ts (task : Engine.task) =
+  if em.on then
+    Sink.emit em.sink ~ts
+      (Event.Rendezvous_resume
+         { set = em.names.(task.Engine.set); tid = task.Engine.tid; verdict = task.Engine.verdict })
+
+(* Step [task] once and emit its park or finish.  Identity is read
+   before the step: a finished frame goes back to the pool. *)
+let step em eng ~ts ~pipe (task : Engine.task) =
+  let tid = task.Engine.tid and slot = task.Engine.set in
   let r = Engine.step eng task in
-  begin
-    match (r, op) with
-    | Engine.Stepped, Some op -> fire ~worker task (Executed op)
-    | Engine.Blocked, Some (Spec.Await (_, h)) -> fire ~worker task (Blocked_on h)
-    | Engine.Finished outcome, _ -> fire ~worker task (Finished outcome)
-    | (Engine.Stepped | Engine.Blocked), _ -> ()
+  if em.on then begin
+    let set = em.names.(slot) in
+    match r with
+    | Engine.Stepped -> ()
+    | Engine.Blocked -> Sink.emit em.sink ~ts (Event.Rendezvous_park { set; pipe; tid })
+    | Engine.Finished outcome ->
+        let outcome =
+          match outcome with
+          | Engine.Committed_task -> Event.Commit
+          | Engine.Aborted_task -> Event.Abort
+          | Engine.Retried_task -> Event.Retry
+        in
+        Sink.emit em.sink ~ts (Event.Task_finish { set; pipe; tid; outcome })
   end;
   r
 
@@ -92,14 +105,13 @@ let iter_resumed eng f =
   done
 
 (* --- Min_first: Definition 4.3, always run the minimum active task
-   to completion. *)
-let run_min_first ~descr ~max_tasks ~hooks eng =
+   to completion.  The tick is the global op count. *)
+let run_min_first ~descr ~max_tasks em eng =
   let tasks_run = ref 0 in
   let op_count = ref 0 in
-  let fire ~worker task e = hooks.on_event ~tick:!op_count ~worker task e in
   let rec drive (task : Engine.task) =
     incr op_count;
-    match step_observed eng fire ~worker:0 task with
+    match step em eng ~ts:!op_count ~pipe:0 task with
     | Engine.Stepped -> drive task
     | Engine.Finished _ -> Engine.resolve_pending eng
     | Engine.Blocked ->
@@ -112,7 +124,9 @@ let run_min_first ~descr ~max_tasks ~hooks eng =
                   (Index.to_string (Index.of_array task.Engine.idx))
                   task.Engine.set));
         (* the running task is minimal, so it is what wakes *)
-        iter_resumed eng (fun w -> fire ~worker:0 w (Resumed w.Engine.verdict));
+        iter_resumed eng (fun w ->
+            resume em ~ts:!op_count w;
+            dispatch em ~ts:!op_count ~pipe:0 w);
         drive task
   in
   let rec loop () =
@@ -121,7 +135,7 @@ let run_min_first ~descr ~max_tasks ~hooks eng =
     | None -> ()
     | Some task ->
         incr tasks_run;
-        fire ~worker:0 task Acquired;
+        dispatch em ~ts:!op_count ~pipe:0 task;
         drive task;
         loop ()
   in
@@ -140,9 +154,10 @@ let run_min_first ~descr ~max_tasks ~hooks eng =
 (* --- Workers: the aggressive software runtime of §4.4.  A fixed pool
    of abstract workers, deterministic op-by-op interleaving; resumed
    tasks take slot priority over fresh pops (they are already deep in
-   the pipeline).  Trace capture is this policy plus recording hooks,
-   so a traced run keeps the same schedule as an untraced one. *)
-let run_workers ~descr ~workers ~max_steps ~hooks eng =
+   the pipeline).  The tick is the scheduler tick and [pipe] the
+   worker.  Trace capture is this policy plus a collect sink, so a
+   traced run keeps the same schedule as an untraced one. *)
+let run_workers ~descr ~workers ~max_steps em eng =
   if workers < 1 then invalid_arg (descr ^ ": workers must be positive");
   let slots = Array.make workers Engine.nil_task in
   let resumable = Queue.create () in
@@ -151,10 +166,11 @@ let run_workers ~descr ~workers ~max_steps ~hooks eng =
   let max_concurrency = ref 0 in
   let total_busy = ref 0 in
   let max_waiting = ref 0 in
-  let fire ~worker task e = hooks.on_event ~tick:!steps ~worker task e in
   let wake () =
     Engine.resume_ready eng;
-    iter_resumed eng (fun task -> Queue.push task resumable)
+    iter_resumed eng (fun task ->
+        resume em ~ts:!steps task;
+        Queue.push task resumable)
   in
   while Engine.uncommitted_remaining eng do
     incr steps;
@@ -162,17 +178,17 @@ let run_workers ~descr ~workers ~max_steps ~hooks eng =
     let progressed = ref false in
     for w = 0 to workers - 1 do
       if slots.(w) == Engine.nil_task then begin
-        if not (Queue.is_empty resumable) then begin
-          let task = Queue.pop resumable in
-          fire ~worker:w task (Resumed task.Engine.verdict);
+        let task =
+          if not (Queue.is_empty resumable) then Queue.pop resumable
+          else
+            match Engine.pop_any eng with
+            | Some task -> task
+            | None -> Engine.nil_task
+        in
+        if task != Engine.nil_task then begin
+          dispatch em ~ts:!steps ~pipe:w task;
           slots.(w) <- task
         end
-        else
-          match Engine.pop_any eng with
-          | Some task ->
-              fire ~worker:w task Acquired;
-              slots.(w) <- task
-          | None -> ()
       end
     done;
     let busy_now =
@@ -185,7 +201,7 @@ let run_workers ~descr ~workers ~max_steps ~hooks eng =
       let task = slots.(w) in
       if task != Engine.nil_task then begin
         progressed := true;
-        match step_observed eng fire ~worker:w task with
+        match step em eng ~ts:!steps ~pipe:w task with
         | Engine.Stepped -> ()
         | Engine.Blocked ->
             slots.(w) <- Engine.nil_task;
@@ -227,12 +243,11 @@ let run_workers ~descr ~workers ~max_steps ~hooks eng =
    it blocks or finishes, then release.  Holding the lock across a
    whole task slice keeps engine invariants simple; parallelism across
    domains comes from the slices interleaving at block/finish
-   boundaries and from the OS overlapping the lock-free tails.  Hooks
-   fire under the lock; [tick] is a global transition counter and
-   [worker] the domain number, so counting/profiling interpretations
-   observe a coherent stream even though the schedule is
-   nondeterministic. *)
-let run_domains ~descr ~domains ~hooks eng =
+   boundaries and from the OS overlapping the lock-free tails.  Events
+   are emitted under the lock; the tick is a global count of ops
+   stepped and [pipe] the domain number, so a sink observes a coherent
+   stream even though the schedule is nondeterministic. *)
+let run_domains ~descr ~domains em eng =
   let n_domains =
     match domains with
     | Some n -> max 1 n
@@ -243,13 +258,11 @@ let run_domains ~descr ~domains ~hooks eng =
   let tasks_run = Atomic.make 0 in
   let failure : exn option Atomic.t = Atomic.make None in
   let ticks = ref 0 (* mutated under the lock only *) in
-  let fire ~worker task e =
-    incr ticks;
-    hooks.on_event ~tick:!ticks ~worker task e
-  in
   let wake () =
     Engine.resume_ready eng;
-    iter_resumed eng (fun task -> Queue.push task resumable)
+    iter_resumed eng (fun task ->
+        resume em ~ts:!ticks task;
+        Queue.push task resumable)
   in
   let worker wid () =
     let idle_spins = ref 0 in
@@ -257,20 +270,17 @@ let run_domains ~descr ~domains ~hooks eng =
     while !running && Atomic.get failure = None do
       Mutex.lock lock;
       let task =
-        if not (Queue.is_empty resumable) then Some (Queue.pop resumable, true)
-        else
-          match Engine.pop_any eng with
-          | Some t -> Some (t, false)
-          | None -> None
+        if not (Queue.is_empty resumable) then Some (Queue.pop resumable)
+        else Engine.pop_any eng
       in
       begin
         match task with
-        | Some (task, resumed) -> begin
+        | Some task -> begin
             idle_spins := 0;
-            fire ~worker:wid task
-              (if resumed then Resumed task.Engine.verdict else Acquired);
+            dispatch em ~ts:!ticks ~pipe:wid task;
             let rec slice () =
-              match step_observed eng fire ~worker:wid task with
+              incr ticks;
+              match step em eng ~ts:!ticks ~pipe:wid task with
               | Engine.Stepped -> slice ()
               | Engine.Blocked ->
                   Engine.resolve_pending eng;
@@ -319,12 +329,12 @@ let run_domains ~descr ~domains ~hooks eng =
     prim_counts = Engine.prim_counts eng;
   }
 
-let run ?(initial = []) interp sp bindings st =
+let run ?(initial = []) (interp : interpretation) sp bindings st =
   let eng = Engine.create sp bindings st in
   List.iter (fun (set, payload) -> Engine.push_initial eng set payload) initial;
+  let em = emitter eng interp.sink in
+  let descr = interp.descr in
   match interp.policy with
-  | Min_first { max_tasks } ->
-      run_min_first ~descr:interp.descr ~max_tasks ~hooks:interp.hooks eng
-  | Workers { workers; max_steps } ->
-      run_workers ~descr:interp.descr ~workers ~max_steps ~hooks:interp.hooks eng
-  | Domains { domains } -> run_domains ~descr:interp.descr ~domains ~hooks:interp.hooks eng
+  | Min_first { max_tasks } -> run_min_first ~descr ~max_tasks em eng
+  | Workers { workers; max_steps } -> run_workers ~descr ~workers ~max_steps em eng
+  | Domains { domains } -> run_domains ~descr ~domains em eng

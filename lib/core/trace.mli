@@ -2,33 +2,18 @@
     support of §4.4 ("a pure software runtime is provided to help
     programmers debug applications").
 
-    Runs a specification exactly like {!Runtime} (same worker model,
-    same schedule) while recording every task lifecycle transition, and
-    renders the recording as a per-worker timeline plus a per-task-set
-    summary — making collisions, squashes and rendezvous stalls visible
-    before any hardware is generated. *)
-
-type event_kind =
-  | Started
-  | Executed of string  (** op descriptor, e.g. ["load level"] *)
-  | Blocked_at of string  (** rendezvous handle *)
-  | Resumed of bool  (** rule verdict *)
-  | Committed
-  | Aborted
-  | Retried
-
-type entry = {
-  tick : int;
-  worker : int;
-  tid : int;
-  set_name : string;
-  index : string;  (** rendered well-order index *)
-  kind : event_kind;
-}
+    A traced run is the {!Semantics.pipelined} interpretation plus a
+    collect sink: the same worker model and schedule as the runtime
+    backend, recording the hardware simulator's own task lifecycle
+    events ({!Agp_obs.Event.t}, stamped with the scheduler tick, [pipe]
+    the worker).  It renders them as a per-worker timeline plus a
+    per-task-set summary, making collisions, squashes and rendezvous
+    stalls visible before any hardware is generated. *)
 
 type t = {
-  entries : entry list;  (** chronological *)
-  report : Runtime.report;
+  events : (int * Agp_obs.Event.t) list;  (** [(tick, event)], chronological *)
+  dropped : int;  (** events past [max_entries], counted but not kept *)
+  report : Semantics.report;
 }
 
 val run :
@@ -39,16 +24,17 @@ val run :
   Spec.bindings ->
   State.t ->
   t
-(** Traced execution (default 4 workers; recording stops after
-    [max_entries] (default 100k) while execution continues). *)
-
-val op_descriptor : Spec.op -> string
+(** Traced execution (default 4 workers).  Recording keeps the first
+    [max_entries] events (default 100k) while execution continues. *)
 
 val render_timeline : ?max_ticks:int -> t -> string
 (** ASCII worker-per-row timeline of the first [max_ticks] (default 60)
-    scheduler ticks: each cell is the task index that occupied the
-    worker, with [*] marking a squash and [~] a rendezvous stall. *)
+    scheduler ticks.  A worker is busy from a task's dispatch to its
+    park or finish; each busy cell shows the task's tid, the same
+    identity {!Agp_obs.Lifecycle} and the Chrome trace use, with [~]
+    marking the tick it parked at a rendezvous and [*] the tick it was
+    squashed. *)
 
 val summarize : t -> (string * int * int * int * int) list
-(** Per task set: (name, committed, aborted, retried, rendezvous
-    blocks). *)
+(** Per task set, from the [Task_finish] and [Rendezvous_park] events:
+    (name, committed, aborted, retried, rendezvous blocks). *)

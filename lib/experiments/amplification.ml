@@ -1,5 +1,6 @@
 module App_instance = Agp_apps.App_instance
 module Engine = Agp_core.Engine
+module Semantics = Agp_core.Semantics
 module Table = Agp_util.Table
 
 type row = {
@@ -19,18 +20,19 @@ let validated name check =
 let measure ?(workers = 10) (app : App_instance.t) =
   let seq = app.App_instance.fresh () in
   let seq_report =
-    Agp_core.Sequential.run ~initial:seq.App_instance.initial app.App_instance.spec
+    Semantics.run ~initial:seq.App_instance.initial (Semantics.oracle ()) app.App_instance.spec
       seq.App_instance.bindings seq.App_instance.state
   in
   validated app.App_instance.app_name seq.App_instance.check;
   let par = app.App_instance.fresh () in
   let par_report =
-    Agp_core.Runtime.run ~initial:par.App_instance.initial ~workers app.App_instance.spec
-      par.App_instance.bindings par.App_instance.state
+    Semantics.run ~initial:par.App_instance.initial
+      (Semantics.pipelined ~workers ())
+      app.App_instance.spec par.App_instance.bindings par.App_instance.state
   in
   validated app.App_instance.app_name par.App_instance.check;
-  let s = par_report.Agp_core.Runtime.stats in
-  let necessary = seq_report.Agp_core.Sequential.stats.Engine.committed in
+  let s = par_report.Semantics.stats in
+  let necessary = seq_report.Semantics.stats.Engine.committed in
   {
     amp_app = app.App_instance.app_name;
     necessary;

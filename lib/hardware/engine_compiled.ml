@@ -215,7 +215,8 @@ let run ?timeline ~cfg ~sink ~spec ~bindings ~state ~initial () =
       if !best < 0 then failwith "Accelerator.run: no pipeline for resumed task";
       let p = pipes.(!best) in
       if instrumented then begin
-        Sink.emit sink ~ts:now (Event.Rendezvous_resume { set = p.cp_set_name; tid = w.tid });
+        Sink.emit sink ~ts:now
+          (Event.Rendezvous_resume { set = p.cp_set_name; tid = w.tid; verdict = w.verdict });
         Sink.emit sink ~ts:(now + 1)
           (Event.Task_dispatch { set = p.cp_set_name; pipe = p.cp_id; tid = w.tid })
       end;

@@ -7,7 +7,7 @@ type t =
   | Task_dispatch of { set : string; pipe : int; tid : int }
   | Task_finish of { set : string; pipe : int; tid : int; outcome : outcome }
   | Rendezvous_park of { set : string; pipe : int; tid : int }
-  | Rendezvous_resume of { set : string; tid : int }
+  | Rendezvous_resume of { set : string; tid : int; verdict : bool }
   | Queue_full of { set : string; pipe : int }
   | Cache_access of { addr : int; is_write : bool; hit : bool }
   | Link_transfer of { bytes : int; start : int; finish : int }

@@ -1,5 +1,6 @@
-(** Task-lifecycle spans: reduce the accelerator's dispatch / park /
-    resume / finish event stream to one span per task activation,
+(** Task-lifecycle spans: reduce a run's dispatch / park / resume /
+    finish event stream (the accelerator's, or a software policy's in
+    policy ticks) to one span per task activation,
     decomposed into the four places a task's wall-clock goes —
     queue-wait (resumed but waiting to re-enter a pipeline), execute
     (occupying a pipeline window), rendezvous-wait (parked in a rule

@@ -8,10 +8,16 @@ type ring = {
   mutable total : int;
 }
 
+type collect = {
+  buf : (int * Event.t) Vec.t;
+  limit : int;
+  mutable over : int; (* events past [limit], counted not kept *)
+}
+
 type t =
   | Null
   | Ring of ring
-  | Collect of (int * Event.t) Vec.t
+  | Collect of collect
 
 let null = Null
 
@@ -19,7 +25,9 @@ let ring ~capacity =
   if capacity <= 0 then invalid_arg "Sink.ring: capacity must be positive";
   Ring { cap = capacity; data = Array.make capacity None; len = 0; next = 0; total = 0 }
 
-let collect () = Collect (Vec.create ())
+let collect ?(limit = max_int) () =
+  if limit < 0 then invalid_arg "Sink.collect: limit must be non-negative";
+  Collect { buf = Vec.create (); limit; over = 0 }
 
 let enabled = function
   | Null -> false
@@ -33,7 +41,8 @@ let emit t ~ts ev =
       r.next <- (r.next + 1) mod r.cap;
       if r.len < r.cap then r.len <- r.len + 1;
       r.total <- r.total + 1
-  | Collect v -> Vec.push v (ts, ev)
+  | Collect c ->
+      if Vec.length c.buf < c.limit then Vec.push c.buf (ts, ev) else c.over <- c.over + 1
 
 let events = function
   | Null -> []
@@ -42,16 +51,17 @@ let events = function
           match r.data.((r.next - r.len + k + r.cap) mod r.cap) with
           | Some e -> e
           | None -> assert false)
-  | Collect v -> Vec.to_list v
+  | Collect c -> Vec.to_list c.buf
 
 let count = function
   | Null -> 0
   | Ring r -> r.total
-  | Collect v -> Vec.length v
+  | Collect c -> Vec.length c.buf + c.over
 
 let dropped = function
-  | Null | Collect _ -> 0
+  | Null -> 0
   | Ring r -> r.total - r.len
+  | Collect c -> c.over
 
 let clear = function
   | Null -> ()
@@ -60,4 +70,6 @@ let clear = function
       r.len <- 0;
       r.next <- 0;
       r.total <- 0
-  | Collect v -> Vec.clear v
+  | Collect c ->
+      Vec.clear c.buf;
+      c.over <- 0

@@ -55,7 +55,11 @@ val exit_code : verdict -> int
     3 liveness. *)
 
 type timing = {
-  queue_ms : float;  (** admission to batch pick-up *)
+  queue_ms : float;
+      (** admission to the start of this request's execution, less the
+          batch's [build_ms]: it includes the time spent behind earlier
+          requests of the same batch.  The scheduler's ["queue"] span
+          records this same figure. *)
   build_ms : float;  (** workload construction (amortized per batch) *)
   exec_ms : float;  (** substrate execution *)
 }

@@ -29,9 +29,8 @@ let bad_request (job : job) message =
   Protocol.Error_reply
     { id = Some job.req.Protocol.id; kind = Protocol.Bad_request; message; line = None; col = None }
 
-let execute ~shard ~batch ~build_ms ~spans ~log app (job : job) =
+let execute ~shard ~batch ~build_ms ~queue_ms ~t0 ~spans ~log app (job : job) =
   let req = job.req in
-  let t0 = Unix.gettimeofday () in
   match Backend.find req.Protocol.backend with
   | Error e -> bad_request job e
   | Ok b -> begin
@@ -50,7 +49,7 @@ let execute ~shard ~batch ~build_ms ~spans ~log app (job : job) =
             shard;
             timing =
               {
-                Protocol.queue_ms = (t0 -. job.submitted_at) *. 1000.0 -. build_ms;
+                Protocol.queue_ms;
                 build_ms;
                 exec_ms;
               };
@@ -62,8 +61,8 @@ let execute ~shard ~batch ~build_ms ~spans ~log app (job : job) =
       match Backend.run ~obs:want_obs ~request_id:req.Protocol.id b app with
       | exception Backend.Unsupported { reason; _ } ->
           finish (Protocol.Unsupported reason) None
-      | exception Agp_core.Runtime.Deadlock msg -> finish (Protocol.Liveness msg) None
-      | exception Agp_core.Runtime.Step_limit_exceeded n ->
+      | exception Agp_core.Semantics.Deadlock msg -> finish (Protocol.Liveness msg) None
+      | exception Agp_core.Semantics.Step_limit_exceeded n ->
           finish
             (Protocol.Liveness
                (Printf.sprintf "step limit %d exceeded without quiescing" n))
@@ -110,12 +109,16 @@ let shard_loop config ~spans ~log ~tracer ~admission ~on_complete shard =
         let batch = List.length jobs in
         List.iter
           (fun job ->
-            Span.record spans ~phase:"queue" ((t_build -. job.submitted_at) *. 1000.0);
+            (* queue wait is admission to this request's execution, less
+               the batch's build: it includes the time spent behind
+               earlier requests of the same batch *)
             let t_exec = Unix.gettimeofday () in
+            let queue_ms = ((t_exec -. job.submitted_at) *. 1000.0) -. build_ms in
+            Span.record spans ~phase:"queue" queue_ms;
             let response =
               match built with
               | Error e -> bad_request job e  (* admission validated; defensive *)
-              | Ok app -> execute ~shard ~batch ~build_ms ~spans ~log app job
+              | Ok app -> execute ~shard ~batch ~build_ms ~queue_ms ~t0:t_exec ~spans ~log app job
             in
             let t_done = Unix.gettimeofday () in
             (match tracer with

@@ -43,7 +43,8 @@ val start :
     per job from the executing shard; the server uses it to send the
     response, release the tenant quota and update counters.  The
     [spans] collector receives per-request ["queue"] / ["build"] /
-    ["execute"] phases; when a [tracer] is given the same three phases
+    ["execute"] phases, the ["queue"] one equal to the reply's
+    [timing.queue_ms]; when a [tracer] is given the same three phases
     are also recorded against the request id for the Chrome trace, and
     the request id is passed into {!Agp_backend.Backend.run} so obs
     reports carry it in their meta.  [log] receives per-request debug

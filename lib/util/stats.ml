@@ -2,23 +2,6 @@ let sum = Array.fold_left ( +. ) 0.0
 
 let mean xs = if Array.length xs = 0 then 0.0 else sum xs /. float_of_int (Array.length xs)
 
-let geomean xs =
-  let n = Array.length xs in
-  if n = 0 then 0.0
-  else begin
-    let acc = Array.fold_left (fun acc x -> acc +. log x) 0.0 xs in
-    exp (acc /. float_of_int n)
-  end
-
-let stddev xs =
-  let n = Array.length xs in
-  if n = 0 then 0.0
-  else begin
-    let m = mean xs in
-    let var = Array.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 xs in
-    sqrt (var /. float_of_int n)
-  end
-
 let percentile xs p =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Stats.percentile: empty";
@@ -48,27 +31,4 @@ let percentile_nearest xs p =
     sorted.(rank - 1)
   end
 
-let minimum xs = Array.fold_left min xs.(0) xs
-
 let maximum xs = Array.fold_left max xs.(0) xs
-
-type running = {
-  mutable count : int;
-  mutable m : float;
-  mutable s : float;
-}
-
-let running () = { count = 0; m = 0.0; s = 0.0 }
-
-let observe r x =
-  r.count <- r.count + 1;
-  let delta = x -. r.m in
-  r.m <- r.m +. (delta /. float_of_int r.count);
-  r.s <- r.s +. (delta *. (x -. r.m))
-
-let running_count r = r.count
-
-let running_mean r = r.m
-
-let running_stddev r =
-  if r.count < 2 then 0.0 else sqrt (r.s /. float_of_int r.count)

@@ -3,12 +3,6 @@
 val mean : float array -> float
 (** Arithmetic mean; 0 for the empty array. *)
 
-val geomean : float array -> float
-(** Geometric mean of positive values; 0 for the empty array. *)
-
-val stddev : float array -> float
-(** Population standard deviation. *)
-
 val percentile : float array -> float -> float
 (** [percentile xs p] with [p] in [\[0,100\]], linear interpolation.
     @raise Invalid_argument on an empty array. *)
@@ -20,21 +14,5 @@ val percentile_nearest : float array -> float -> float
     single element for n = 1, and the maximum for any high percentile at
     small n (e.g. p99 of two samples is the larger one). *)
 
-val minimum : float array -> float
-
 val maximum : float array -> float
-
-val sum : float array -> float
-
-type running
-(** Online accumulator (Welford). *)
-
-val running : unit -> running
-
-val observe : running -> float -> unit
-
-val running_count : running -> int
-
-val running_mean : running -> float
-
-val running_stddev : running -> float
+(** @raise Invalid_argument on an empty array. *)

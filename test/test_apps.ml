@@ -55,7 +55,7 @@ let test_sssp_runtime () =
 let test_sssp_aborts_dominated () =
   let report, _ = App_instance.run_runtime ~workers:8 (Sssp_app.speculative (sssp_small ())) in
   check Alcotest.bool "dominated tasks squashed" true
-    (report.Runtime.stats.Engine.aborted > 0)
+    (report.Semantics.stats.Engine.aborted > 0)
 
 let prop_sssp_random =
   QCheck.Test.make ~name:"spec-sssp correct on random graphs" ~count:8
@@ -86,7 +86,7 @@ let test_mst_retries () =
   let w = Mst_app.workload_of_graph (Agp_graph.Generator.random ~seed:5 ~n:40 ~m:200) in
   let report, run = App_instance.run_runtime ~workers:12 (Mst_app.speculative w) in
   check ok_result "still optimal" (Ok ()) (run.App_instance.check ());
-  check Alcotest.bool "conflicts retried" true (report.Runtime.stats.Engine.retried > 0)
+  check Alcotest.bool "conflicts retried" true (report.Semantics.stats.Engine.retried > 0)
 
 let prop_mst_random =
   QCheck.Test.make ~name:"spec-mst correct on random graphs" ~count:8
@@ -113,7 +113,7 @@ let test_dmr_runtime () =
 
 let test_dmr_does_work () =
   let report, _ = App_instance.run_runtime ~workers:8 (Dmr_app.speculative (dmr_small ())) in
-  check Alcotest.bool "many refine tasks ran" true (report.Runtime.tasks_run > 10)
+  check Alcotest.bool "many refine tasks ran" true (report.Semantics.tasks_run > 10)
 
 let prop_dmr_random =
   QCheck.Test.make ~name:"spec-dmr correct on random clouds" ~count:5
@@ -143,7 +143,7 @@ let test_lu_coordination_overlaps () =
      tasks out of order: clause resolutions must occur (not only
      otherwise paths). *)
   let report, _ = App_instance.run_runtime ~workers:12 (Lu_app.coordinative (lu_small ())) in
-  let s = report.Runtime.stats in
+  let s = report.Semantics.stats in
   check Alcotest.bool "countdowns resolved" true (s.Engine.clause_resolutions > 0);
   check Alcotest.int "no squashes in coordinative mode" 0 (s.Engine.aborted + s.Engine.retried)
 
@@ -160,10 +160,10 @@ let test_parallel_runtime_bfs () =
   let app = Bfs_app.speculative (Bfs_app.workload_of_graph (Agp_graph.Generator.road ~seed:3 ~width:12 ~height:8) 0) in
   let run = app.App_instance.fresh () in
   let report =
-    Agp_core.Parallel_runtime.run ~initial:run.App_instance.initial ~domains:4
+    Semantics.run ~initial:run.App_instance.initial (Semantics.multicore ~domains:4 ())
       app.App_instance.spec run.App_instance.bindings run.App_instance.state
   in
-  Alcotest.(check bool) "did work" true (report.Agp_core.Parallel_runtime.tasks_run > 100);
+  Alcotest.(check bool) "did work" true (report.Semantics.tasks_run > 100);
   check ok_result "levels valid" (Ok ()) (run.App_instance.check ())
 
 let test_parallel_runtime_matches_sequential () =
@@ -174,7 +174,7 @@ let test_parallel_runtime_matches_sequential () =
   let _, seq = App_instance.run_sequential app in
   let par = app.App_instance.fresh () in
   ignore
-    (Agp_core.Parallel_runtime.run ~initial:par.App_instance.initial ~domains:4
+    (Semantics.run ~initial:par.App_instance.initial (Semantics.multicore ~domains:4 ())
        app.App_instance.spec par.App_instance.bindings par.App_instance.state);
   Alcotest.(check (list string)) "identical final state" []
     (Agp_core.State.diff seq.App_instance.state par.App_instance.state)
@@ -183,7 +183,7 @@ let test_parallel_runtime_lu () =
   let app = Lu_app.coordinative (lu_small ()) in
   let run = app.App_instance.fresh () in
   ignore
-    (Agp_core.Parallel_runtime.run ~initial:run.App_instance.initial ~domains:3
+    (Semantics.run ~initial:run.App_instance.initial (Semantics.multicore ~domains:3 ())
        app.App_instance.spec run.App_instance.bindings run.App_instance.state);
   check ok_result "residual" (Ok ()) (run.App_instance.check ())
 
@@ -191,7 +191,7 @@ let test_parallel_runtime_single_domain () =
   let app = Sssp_app.speculative (sssp_small ()) in
   let run = app.App_instance.fresh () in
   ignore
-    (Agp_core.Parallel_runtime.run ~initial:run.App_instance.initial ~domains:1
+    (Semantics.run ~initial:run.App_instance.initial (Semantics.multicore ~domains:1 ())
        app.App_instance.spec run.App_instance.bindings run.App_instance.state);
   check ok_result "distances" (Ok ()) (run.App_instance.check ())
 

@@ -9,7 +9,6 @@ module Backend = Agp_backend.Backend
 module Conformance = Agp_backend.Conformance
 module Workloads = Agp_exp.Workloads
 module App_instance = Agp_apps.App_instance
-module Runtime = Agp_core.Runtime
 module Semantics = Agp_core.Semantics
 module Spec = Agp_core.Spec
 module Value = Agp_core.Value
@@ -184,7 +183,7 @@ let add_event_line b (ts, (ev : Agp_obs.Event.t)) =
       int pipe;
       int tid;
       str (Agp_obs.Event.outcome_name outcome)
-  | Rendezvous_resume { set; tid } ->
+  | Rendezvous_resume { set; tid; _ } ->
       str set;
       int tid
   | Queue_full { set; pipe } ->
@@ -496,30 +495,21 @@ let test_binop_error_cases () =
 
 let test_counting_interpretation () =
   let app = Workloads.spec_bfs Workloads.Small ~seed:7 in
-  let events = ref 0 in
-  let finished = ref 0 in
-  let hooks =
-    {
-      Semantics.on_event =
-        (fun ~tick:_ ~worker:_ _ ev ->
-          incr events;
-          match ev with
-          | Semantics.Finished _ -> incr finished
-          | _ -> ());
-    }
-  in
+  let sink = Agp_obs.Sink.collect () in
   let counting =
     Backend.of_interpretation ~name:"counting"
-      ~summary:"test-only counting interpretation (hooks over the pipelined policy)"
-      (Semantics.with_hooks (Semantics.pipelined ~workers:3 ()) hooks)
+      ~summary:"test-only observed interpretation (a collect sink over the pipelined policy)"
+      { (Semantics.pipelined ~workers:3 ()) with Semantics.sink }
   in
   (match Conformance.check ~state_equiv:true counting app with
   | Ok () -> ()
   | Error f ->
       Alcotest.failf "counting interpretation does not conform: %s"
         (Conformance.failure_to_string f));
-  check Alcotest.bool "hooks observed the run" true (!events > 0);
-  check Alcotest.bool "hooks saw task completions" true (!finished > 0)
+  let events = Agp_obs.Sink.events sink in
+  check Alcotest.bool "the sink observed the run" true (events <> []);
+  check Alcotest.bool "the sink saw task completions" true
+    (List.exists (function _, Agp_obs.Event.Task_finish _ -> true | _ -> false) events)
 
 (* --- typed liveness exceptions (satellite: no more stringly Failure) --- *)
 
@@ -584,10 +574,11 @@ let test_deadlock_typed =
     (fun (workers, fillers) ->
       let workers = max 1 workers and fillers = max 0 fillers in
       match
-        Runtime.run ~initial:(deadlock_initial fillers) ~workers deadlock_spec
+        Semantics.run ~initial:(deadlock_initial fillers) (Semantics.pipelined ~workers ())
+          deadlock_spec
           Spec.no_bindings (State.create ())
       with
-      | exception Runtime.Deadlock _ -> true
+      | exception Semantics.Deadlock _ -> true
       | exception e ->
           QCheck.Test.fail_reportf "workers %d: expected Deadlock, got %s" workers
             (Printexc.to_string e)
@@ -600,37 +591,25 @@ let test_step_limit_random_budgets =
       let app = Workloads.spec_bfs Workloads.Small ~seed:7 in
       let r = app.App_instance.fresh () in
       match
-        Runtime.run ~initial:r.App_instance.initial ~max_steps:budget app.App_instance.spec
+        Semantics.run ~initial:r.App_instance.initial (Semantics.pipelined ~max_steps:budget ())
+          app.App_instance.spec
           r.App_instance.bindings r.App_instance.state
       with
-      | exception Runtime.Step_limit_exceeded n -> n = budget
+      | exception Semantics.Step_limit_exceeded n -> n = budget
       | exception e ->
           QCheck.Test.fail_reportf "budget %d: expected Step_limit_exceeded, got %s" budget
             (Printexc.to_string e)
       | _ -> QCheck.Test.fail_reportf "budget %d cannot complete SPEC-BFS" budget)
 
-let test_exceptions_shared_with_semantics () =
-  (* Runtime re-exports the Semantics constructors: one exception, two
-     names, every existing handler keeps matching. *)
-  check Alcotest.bool "Deadlock rebound" true
-    (Runtime.Deadlock "x" = Semantics.Deadlock "x");
-  check Alcotest.bool "Step_limit_exceeded rebound" true
-    (Runtime.Step_limit_exceeded 7 = Semantics.Step_limit_exceeded 7);
-  match Semantics.run (Semantics.pipelined ~workers:2 ())
-          ~initial:(deadlock_initial 0) deadlock_spec Spec.no_bindings (State.create ())
-  with
-  | exception Runtime.Deadlock _ -> ()
-  | exception e -> Alcotest.failf "expected Deadlock, got %s" (Printexc.to_string e)
-  | _ -> Alcotest.fail "rendezvous cycle cannot quiesce"
-
 let test_step_limit_typed () =
   let app = Workloads.spec_bfs Workloads.Small ~seed:7 in
   let r = app.App_instance.fresh () in
   match
-    Runtime.run ~initial:r.App_instance.initial ~max_steps:1 app.App_instance.spec
+    Semantics.run ~initial:r.App_instance.initial (Semantics.pipelined ~max_steps:1 ())
+      app.App_instance.spec
       r.App_instance.bindings r.App_instance.state
   with
-  | exception Runtime.Step_limit_exceeded n ->
+  | exception Semantics.Step_limit_exceeded n ->
       check Alcotest.int "exception carries the exhausted budget" 1 n
   | exception e -> Alcotest.failf "expected Step_limit_exceeded, got %s" (Printexc.to_string e)
   | _ -> Alcotest.fail "a 1-step budget cannot complete SPEC-BFS"
@@ -646,7 +625,8 @@ let test_conformance_classifies_liveness () =
         (fun ~obs:_ (app : App_instance.t) ->
           let r = app.App_instance.fresh () in
           ignore
-            (Runtime.run ~initial:r.App_instance.initial ~max_steps:1 app.App_instance.spec
+            (Semantics.run ~initial:r.App_instance.initial (Semantics.pipelined ~max_steps:1 ())
+              app.App_instance.spec
                r.App_instance.bindings r.App_instance.state);
           assert false);
     }
@@ -712,7 +692,8 @@ let test_sequential_task_budget_typed () =
   let app = Workloads.spec_bfs Workloads.Small ~seed:7 in
   let r = app.App_instance.fresh () in
   match
-    Agp_core.Sequential.run ~initial:r.App_instance.initial ~max_tasks:1 app.App_instance.spec
+    Semantics.run ~initial:r.App_instance.initial (Semantics.oracle ~max_tasks:1 ())
+      app.App_instance.spec
       r.App_instance.bindings r.App_instance.state
   with
   | exception Semantics.Step_limit_exceeded n ->
@@ -880,8 +861,6 @@ let () =
             test_counting_interpretation;
           qtest test_deadlock_typed;
           qtest test_step_limit_random_budgets;
-          Alcotest.test_case "Runtime exceptions are the Semantics exceptions" `Quick
-            test_exceptions_shared_with_semantics;
         ] );
       ( "registry",
         [

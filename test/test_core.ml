@@ -361,21 +361,23 @@ let counter_state () =
 let test_sequential_counter () =
   let st = counter_state () in
   let report =
-    Sequential.run ~initial:[ ("inc", [ Value.Int 4 ]) ] counter_spec Spec.no_bindings st
+    Semantics.run ~initial:[ ("inc", [ Value.Int 4 ]) ] (Semantics.oracle ())
+      counter_spec Spec.no_bindings st
   in
   (* 4 + 3 + 2 + 1 *)
   check Alcotest.int "sum" 10 (State.int_array st "cell").(0);
-  check Alcotest.int "tasks" 4 report.Sequential.tasks_run;
-  check Alcotest.int "committed" 4 report.Sequential.stats.Engine.committed
+  check Alcotest.int "tasks" 4 report.Semantics.tasks_run;
+  check Alcotest.int "committed" 4 report.Semantics.stats.Engine.committed
 
 let test_runtime_counter_matches () =
   let st = counter_state () in
   let report =
-    Runtime.run ~initial:[ ("inc", [ Value.Int 6 ]) ] ~workers:4 counter_spec Spec.no_bindings st
+    Semantics.run ~initial:[ ("inc", [ Value.Int 6 ]) ] (Semantics.pipelined ~workers:4 ())
+      counter_spec Spec.no_bindings st
   in
   check Alcotest.int "sum" 21 (State.int_array st "cell").(0);
   check Alcotest.bool "avg busy in (0, workers]" true
-    (report.Runtime.avg_busy > 0.0 && report.Runtime.avg_busy <= 4.0)
+    (report.Semantics.avg_busy > 0.0 && report.Semantics.avg_busy <= 4.0)
 
 let test_engine_rejects_invalid_spec () =
   let bad : Spec.t =
@@ -383,7 +385,7 @@ let test_engine_rejects_invalid_spec () =
   in
   check Alcotest.bool "raises" true
     (try
-       ignore (Sequential.run bad Spec.no_bindings (State.create ()));
+       ignore (Semantics.run (Semantics.oracle ()) bad Spec.no_bindings (State.create ()));
        false
      with Invalid_argument _ -> true)
 
@@ -435,13 +437,13 @@ let claim_spec : Spec.t =
 let test_rule_squashes_later_writer () =
   let st = counter_state () in
   let report =
-    Runtime.run
+    Semantics.run (Semantics.pipelined ~workers:2 ())
       ~initial:[ ("writer", [ Value.Int 111 ]); ("writer", [ Value.Int 222 ]) ]
-      ~workers:2 claim_spec Spec.no_bindings st
+      claim_spec Spec.no_bindings st
   in
   check Alcotest.int "earlier writer wins" 111 (State.int_array st "cell").(0);
-  check Alcotest.int "one abort" 1 report.Runtime.stats.Engine.aborted;
-  check Alcotest.int "one commit" 1 report.Runtime.stats.Engine.committed
+  check Alcotest.int "one abort" 1 report.Semantics.stats.Engine.aborted;
+  check Alcotest.int "one commit" 1 report.Semantics.stats.Engine.committed
 
 let test_sequential_claim_overwrites () =
   (* Sequentially both writers run in order and both store (the rule
@@ -451,7 +453,7 @@ let test_sequential_claim_overwrites () =
      makes their parallel results equal to their sequential ones. *)
   let st = counter_state () in
   ignore
-    (Sequential.run
+    (Semantics.run (Semantics.oracle ())
        ~initial:[ ("writer", [ Value.Int 111 ]); ("writer", [ Value.Int 222 ]) ]
        claim_spec Spec.no_bindings st);
   check Alcotest.int "both stored in order" 222 (State.int_array st "cell").(0)
@@ -516,16 +518,16 @@ let test_counted_rule_orders () =
   (* Push b FIRST so it would run before the a's without the rule. *)
   let st = counted_state () in
   ignore
-    (Runtime.run
+    (Semantics.run (Semantics.pipelined ~workers:3 ())
        ~initial:[ ("b", []); ("a", [ Value.Int 1 ]); ("a", [ Value.Int 2 ]) ]
-       ~workers:3 counted_spec counted_bindings st);
+       counted_spec counted_bindings st);
   (* (1 + 1) * 10 + 1 — b's countdown held it until both a's emitted *)
   check Alcotest.int "b waited for both" 21 (State.int_array st "cell").(0)
 
 let test_counted_rule_sequential () =
   let st = counted_state () in
   ignore
-    (Sequential.run
+    (Semantics.run (Semantics.oracle ())
        ~initial:[ ("b", []); ("a", [ Value.Int 1 ]); ("a", [ Value.Int 2 ]) ]
        counted_spec counted_bindings st);
   (* Sequentially the well-order interleaves b between the a's (b's
@@ -574,7 +576,7 @@ let test_prim_roundtrip () =
     }
   in
   let st = counter_state () in
-  ignore (Sequential.run ~initial:[ ("t", [ Value.Int 21 ]) ] sp bindings st);
+  ignore (Semantics.run ~initial:[ ("t", [ Value.Int 21 ]) ] (Semantics.oracle ()) sp bindings st);
   check Alcotest.int "prim result stored" 42 (State.int_array st "cell").(0)
 
 (* --- more engine edge cases --- *)
@@ -601,8 +603,10 @@ let test_push_iter_empty_range () =
     }
   in
   let st = counter_state () in
-  let report = Sequential.run ~initial:[ ("t", [ Value.Int 5 ]) ] sp Spec.no_bindings st in
-  check Alcotest.int "only the seed task ran" 1 report.Sequential.tasks_run;
+  let report =
+    Semantics.run ~initial:[ ("t", [ Value.Int 5 ]) ] (Semantics.oracle ()) sp Spec.no_bindings st
+  in
+  check Alcotest.int "only the seed task ran" 1 report.Semantics.tasks_run;
   check Alcotest.int "body executed" 1 (State.int_array st "cell").(0)
 
 let test_on_activated_rule () =
@@ -654,9 +658,9 @@ let test_on_activated_rule () =
   let bindings : Spec.bindings = { prims = []; expected = [ ("seen_two", fun _ -> 2) ] } in
   let st = counted_state () in
   ignore
-    (Runtime.run
+    (Semantics.run (Semantics.pipelined ~workers:3 ())
        ~initial:[ ("barrier", []); ("worker", [ Value.Int 1 ]); ("worker", [ Value.Int 2 ]) ]
-       ~workers:3 sp bindings st);
+       sp bindings st);
   check Alcotest.int "barrier fired" 9 (State.int_array st "cell").(0)
 
 let test_float_memory_in_spec () =
@@ -681,7 +685,9 @@ let test_float_memory_in_spec () =
   in
   let st = State.create () in
   State.add_float_array st "fs" [| 1.5; 0.0 |];
-  ignore (Sequential.run ~initial:[ ("t", [ Value.Int 4 ]) ] sp Spec.no_bindings st);
+  ignore
+    (Semantics.run ~initial:[ ("t", [ Value.Int 4 ]) ] (Semantics.oracle ()) sp Spec.no_bindings
+       st);
   check (Alcotest.float 1e-12) "float arithmetic through the IR" 6.0 (State.float_array st "fs").(1)
 
 let test_engine_pop_min_order () =
@@ -713,7 +719,9 @@ let test_engine_unbound_prim () =
   in
   check Alcotest.bool "unbound prim raises" true
     (try
-       ignore (Sequential.run ~initial:[ ("t", []) ] sp Spec.no_bindings (counter_state ()));
+       ignore
+         (Semantics.run ~initial:[ ("t", []) ] (Semantics.oracle ()) sp Spec.no_bindings
+            (counter_state ()));
        false
      with Invalid_argument _ -> true)
 
@@ -735,10 +743,11 @@ let test_prim_counts_exposed () =
   in
   let bindings : Spec.bindings = { prims = [ ("nop", fun _ _ -> []) ]; expected = [] } in
   let report =
-    Sequential.run ~initial:[ ("t", []); ("t", []); ("t", []) ] sp bindings (counter_state ())
+    Semantics.run ~initial:[ ("t", []); ("t", []); ("t", []) ] (Semantics.oracle ())
+      sp bindings (counter_state ())
   in
   check (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int)) "three invocations"
-    [ ("nop", 3) ] report.Sequential.prim_counts
+    [ ("nop", 3) ] report.Semantics.prim_counts
 
 (* --- BFS integration through both interpreters --- *)
 
@@ -780,7 +789,7 @@ let test_bfs_state_equivalence () =
 let test_spec_bfs_speculation_stats () =
   let app = Bfs_app.speculative (Bfs_app.workload_of_graph (small_graph ()) 0) in
   let report, _ = App_instance.run_runtime ~workers:8 app in
-  let s = report.Runtime.stats in
+  let s = report.Semantics.stats in
   (* Flooding: speculative BFS activates more update tasks than edges
      that succeed; some must abort. *)
   check Alcotest.bool "aborts happened" true (s.Engine.aborted > 0);

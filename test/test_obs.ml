@@ -23,6 +23,7 @@ module Wavefront = Agp_hw.Wavefront
 module App_instance = Agp_apps.App_instance
 module Bfs_app = Agp_apps.Bfs_app
 module Engine = Agp_core.Engine
+module Semantics = Agp_core.Semantics
 
 let check = Alcotest.check
 
@@ -130,6 +131,18 @@ let test_sink_collect () =
   check Alcotest.int "none dropped" 0 (Sink.dropped s);
   Sink.clear s;
   check Alcotest.int "cleared" 0 (Sink.count s)
+
+let test_sink_collect_limit () =
+  let s = Sink.collect ~limit:3 () in
+  for i = 1 to 5 do
+    Sink.emit s ~ts:i (ev i)
+  done;
+  check (Alcotest.list Alcotest.int) "keeps the first events" [ 1; 2; 3 ]
+    (List.map fst (Sink.events s));
+  check Alcotest.int "total emitted" 5 (Sink.count s);
+  check Alcotest.int "overflow dropped" 2 (Sink.dropped s);
+  Sink.clear s;
+  check Alcotest.int "cleared" 0 (Sink.dropped s)
 
 let test_sink_ring () =
   let s = Sink.ring ~capacity:4 in
@@ -277,6 +290,30 @@ let test_accel_null_sink_identical () =
     (Attribution.equal bare.Accelerator.attribution observed.Accelerator.attribution);
   check (Alcotest.list Alcotest.string) "same final memory" []
     (Agp_core.State.diff bare_run.App_instance.state obs_run.App_instance.state)
+
+(* the same guarantee for the software policies: a collect sink on
+   Min_first or Workers leaves the report and the final state as a null
+   sink does *)
+let test_software_null_sink_identical () =
+  let app = Agp_exp.Workloads.spec_bfs Agp_exp.Workloads.Small ~seed:42 in
+  let run interp sink =
+    let r = app.App_instance.fresh () in
+    let report =
+      Semantics.run ~initial:r.App_instance.initial { interp with Semantics.sink }
+        app.App_instance.spec r.App_instance.bindings r.App_instance.state
+    in
+    (report, r.App_instance.state)
+  in
+  List.iter
+    (fun (name, interp) ->
+      let sink = Sink.collect () in
+      let bare, bare_state = run interp Sink.null in
+      let observed, obs_state = run interp sink in
+      check Alcotest.bool (name ^ ": events captured") true (Sink.count sink > 0);
+      check Alcotest.bool (name ^ ": reports identical") true (bare = observed);
+      check (Alcotest.list Alcotest.string) (name ^ ": same final memory") []
+        (Agp_core.State.diff bare_state obs_state))
+    [ ("Min_first", Semantics.oracle ()); ("Workers", Semantics.pipelined ~workers:4 ()) ]
 
 let test_accel_squash_waste_appears () =
   (* speculative BFS on this graph squashes thousands of tasks; the
@@ -979,6 +1016,7 @@ let () =
         [
           Alcotest.test_case "null" `Quick test_sink_null;
           Alcotest.test_case "collect" `Quick test_sink_collect;
+          Alcotest.test_case "collect limit" `Quick test_sink_collect_limit;
           Alcotest.test_case "ring" `Quick test_sink_ring;
         ] );
       ( "components",
@@ -991,6 +1029,8 @@ let () =
           Alcotest.test_case "event taxonomy" `Quick test_accel_event_taxonomy;
           Alcotest.test_case "attribution sums" `Quick test_accel_attribution_sums;
           Alcotest.test_case "null sink identical" `Quick test_accel_null_sink_identical;
+          Alcotest.test_case "null sink identical under Min_first and Workers" `Quick
+            test_software_null_sink_identical;
           Alcotest.test_case "squash waste" `Quick test_accel_squash_waste_appears;
           Alcotest.test_case "reclassify + render" `Quick test_attribution_render_and_reclassify;
         ] );

@@ -367,6 +367,47 @@ let test_run_to_completion () =
   check Alcotest.int "in_flight settles" 0 s.Protocol.in_flight;
   Server.shutdown t
 
+(* The reply's queue_ms and the scheduler's "queue" span are one
+   figure.  Two compatible requests admitted before the shard starts
+   share a batch, so the second waits behind the first; both places
+   must count that wait. *)
+let test_queue_wait_one_definition () =
+  let admission = Admission.create (admission_config ~quota:4 ()) in
+  List.iter
+    (fun id ->
+      let req = { sample_run with Protocol.id; backend = "sequential"; obs = false } in
+      let job = { Scheduler.req; submitted_at = Unix.gettimeofday (); respond = ignore } in
+      check Alcotest.bool "admitted" true (Admission.submit admission ~tenant:"t" job = Ok ()))
+    [ "q1"; "q2" ];
+  let spans = Agp_obs.Span.create () in
+  let lock = Mutex.create () and replies = ref [] in
+  let on_complete _ response = Mutex.protect lock (fun () -> replies := response :: !replies) in
+  let sched =
+    Scheduler.start { Scheduler.shards = 1; max_batch = 2 } ~spans ~admission ~on_complete
+  in
+  Admission.close admission;
+  Scheduler.join sched;
+  let queue_ms =
+    List.map
+      (function
+        | Protocol.Result o ->
+            check Alcotest.int "one batch of two" 2 o.Protocol.batch;
+            o.Protocol.timing.Protocol.queue_ms
+        | _ -> Alcotest.fail "expected a result")
+      !replies
+  in
+  match
+    List.find_opt
+      (fun s -> s.Agp_obs.Span.sp_phase = "queue")
+      (Agp_obs.Span.summarize spans)
+  with
+  | None -> Alcotest.fail "no queue span"
+  | Some q ->
+      check Alcotest.int "one queue span per request" 2 q.Agp_obs.Span.sp_count;
+      check (Alcotest.float 1e-6) "span total equals the replies' sum"
+        (List.fold_left ( +. ) 0.0 queue_ms)
+        (q.Agp_obs.Span.sp_mean_ms *. 2.0)
+
 let test_watermark_zero_sheds_everything () =
   (* watermark 0 makes every submission shed — deterministic overload *)
   let config =
@@ -688,6 +729,7 @@ let () =
           Alcotest.test_case "bad run requests" `Quick test_bad_run_requests;
           Alcotest.test_case "run to completion" `Quick test_run_to_completion;
           Alcotest.test_case "watermark zero sheds" `Quick test_watermark_zero_sheds_everything;
+          Alcotest.test_case "queue wait has one definition" `Quick test_queue_wait_one_definition;
           Alcotest.test_case "shutdown drains" `Quick test_shutdown_request_drains;
           Alcotest.test_case "metrics exposition" `Quick test_metrics_request;
           Alcotest.test_case "request trace capture" `Quick test_request_trace_capture;
